@@ -12,9 +12,15 @@ Conventions used across the package:
   j = 1 + sum_{m != n} (i_m - 1) * prod_{k < m, k != n} I_k,
   i.e. the remaining modes in ascending order, earliest fastest.
 
-Dense tensors are plain float ndarrays; only the index maps above carry
-meaning, not the in-memory strides.
+Dense tensors are plain float ndarrays. The index maps above define what a
+tensor means; the in-memory strides decide only what a contraction costs.
+:func:`mode_product` runs on C- and F-contiguous arrays in place (F order is
+what :func:`tuckersketch.tensor_io.read_tensor` returns) and copies any
+other layout once. Its results are always C- or F-contiguous, so a chain of
+products never copies the tensor.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse
@@ -53,8 +59,14 @@ def fold(mat, mode, dims):
 def mode_product(t, mode, b):
     """Mode-``mode`` product ``t x_mode b`` with a matrix ``b``.
 
-    ``b`` has shape (J, I_mode); the result replaces dimension I_mode by J.
-    Accepts a :class:`SparseTensor` for ``t`` (the result is dense).
+    ``b`` has shape (J, I_mode); the result replaces dimension I_mode by J and
+    equals ``fold(b @ unfold(t, mode), mode, dims)``, but never forms the
+    unfolding. A C-contiguous ``t`` is viewed as (pre, I_mode, post) and
+    contracted by one batched GEMM (a single GEMM for the first and last
+    modes); an F-contiguous ``t`` runs the same kernel on ``t.T``; any other
+    layout is copied once to C order first. The result is C- or F-contiguous.
+    Accepts a :class:`SparseTensor` for ``t`` (the result is a dense
+    F-contiguous array).
     """
     b = np.asarray(b, dtype=np.float64)
     if isinstance(t, SparseTensor):
@@ -66,23 +78,40 @@ def mode_product(t, mode, b):
         prod = (t.unfold_csr(mode).T @ b.T).T
         new_dims = list(t.dims)
         new_dims[mode - 1] = b.shape[0]
-        return fold(prod, mode, new_dims)
+        return np.asfortranarray(fold(prod, mode, new_dims))
     t = np.asarray(t, dtype=np.float64)
     _check_mode(mode, t.ndim)
     if b.shape[1] != t.shape[mode - 1]:
         raise ValueError(
             f"matrix has {b.shape[1]} columns, mode {mode} has size {t.shape[mode - 1]}"
         )
-    new_dims = list(t.shape)
-    new_dims[mode - 1] = b.shape[0]
-    return fold(b @ unfold(t, mode), mode, new_dims)
+    if t.flags.c_contiguous:
+        return _mode_product_c(t, mode, b)
+    if t.flags.f_contiguous:
+        return _mode_product_c(t.T, t.ndim + 1 - mode, b).T
+    return _mode_product_c(np.ascontiguousarray(t), mode, b)
+
+
+def _mode_product_c(t, mode, b):
+    # t is C-contiguous, so the (pre, I_mode, post) reshapes below are views
+    dims = t.shape
+    pre = math.prod(dims[: mode - 1])
+    post = math.prod(dims[mode:])
+    new_dims = dims[: mode - 1] + (b.shape[0],) + dims[mode:]
+    if post == 1:
+        # one GEMM instead of ``pre`` matrix-vector products
+        out = t.reshape(pre, dims[mode - 1]) @ b.T
+    else:
+        out = np.matmul(b, t.reshape(pre, dims[mode - 1], post))
+    return out.reshape(new_dims)
 
 
 def frob_norm(t):
     """Frobenius norm of a dense or sparse tensor."""
     if isinstance(t, SparseTensor):
         return float(np.linalg.norm(t.values))
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
+    # norm ravels in memory order, so an F-ordered tensor is not copied
+    return float(np.linalg.norm(np.asarray(t, dtype=np.float64)))
 
 
 def kron(a, b):

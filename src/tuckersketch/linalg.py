@@ -4,6 +4,10 @@ Every routine here is deterministic for a fixed input: singular vectors are
 sign-normalized so the largest-magnitude entry of each left vector is
 positive (ties broken by lowest index), and QR bases make the corresponding
 R diagonal nonnegative. Rank decisions use the threshold 1e-12 * sigma_1.
+Both factorizations reject matrices holding NaN or infinity with a
+``ValueError``. Every decomposition factorizes a sketch or an unfolding of its
+input, so this is where a non-finite tensor is caught, without a separate pass
+over the tensor.
 """
 
 import warnings
@@ -31,10 +35,21 @@ def svd(a):
     values non-increasing, and each column of ``u`` flipped so its
     largest-magnitude entry is positive.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = check_finite(a)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     u, vt = _fix_signs(u, vt)
     return SvdResult(u, s, vt)
+
+
+def check_finite(a):
+    """``a`` as a float array; ``ValueError`` if it holds NaN or infinity."""
+    a = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError(
+            f"matrix of shape {a.shape} has non-finite entries (NaN or infinity); "
+            "the input tensor must be finite"
+        )
+    return a
 
 
 def column_sign_flips(u):
@@ -125,7 +140,7 @@ def orthonormal_basis_qr(a):
 
 def qr_basis_with_rank(a):
     """Sign-normalized economy QR basis plus the R-diagonal rank decision."""
-    a = np.asarray(a, dtype=np.float64)
+    a = check_finite(a)
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r)
     q = q * np.where(diag < 0, -1.0, 1.0)

@@ -53,6 +53,8 @@ class TuckerApprox:
     def __post_init__(self):
         self.core = np.asarray(self.core, dtype=np.float64)
         self.factors = [np.asarray(q, dtype=np.float64) for q in self.factors]
+        if not np.isfinite(self.core).all():
+            raise ValueError("core has non-finite entries (NaN or infinity)")
         if self.core.ndim != len(self.factors):
             raise ValueError(
                 f"core order {self.core.ndim} does not match {len(self.factors)} factors"
@@ -64,7 +66,8 @@ class TuckerApprox:
                     f"{self.core.shape[n - 1]}"
                 )
             gram_err = np.abs(q.T @ q - np.eye(q.shape[1])).max()
-            if gram_err > ORTHO_TOL:
+            # written so that a NaN deviation fails the check
+            if not gram_err <= ORTHO_TOL:
                 raise ValueError(
                     f"factor {n} is not orthonormal (deviation {gram_err:.2e})"
                 )
@@ -106,7 +109,11 @@ _IDENTITY_CACHE = {}
 
 def _identity_factor(dim):
     if dim not in _IDENTITY_CACHE:
-        _IDENTITY_CACHE[dim] = np.eye(dim)
+        eye = np.eye(dim)
+        # shared by every result that skips a full-rank mode: a write to one
+        # would corrupt the others and the skip test in _project
+        eye.flags.writeable = False
+        _IDENTITY_CACHE[dim] = eye
     return _IDENTITY_CACHE[dim]
 
 
@@ -145,13 +152,14 @@ def reconstruct(approx):
 def rlne(a, approx):
     """Relative low-rank norm error ||a - reconstruct|| / ||a||."""
     norm_a = frob_norm(a)
-    recon = reconstruct(approx)
+    # reconstruct returns a fresh array, so the residual is formed in place
+    resid = reconstruct(approx)
     if isinstance(a, SparseTensor):
         if a.nnz:
-            recon[tuple(a.coords.T)] -= a.values
-        err = float(np.linalg.norm(recon.ravel()))
+            resid[tuple(a.coords.T)] -= a.values
     else:
-        err = float(np.linalg.norm((np.asarray(a) - recon).ravel()))
+        resid -= np.asarray(a)
+    err = float(np.linalg.norm(resid))
     if norm_a == 0.0:
         return 0.0 if err == 0.0 else math.inf
     return err / norm_a
@@ -319,7 +327,7 @@ def truncated_hosvd(a, target_rank):
             continue
         if isinstance(a, SparseTensor):
             x = a.unfold_csr(n)
-            gram = (x @ x.T).toarray()
+            gram = linalg.check_finite((x @ x.T).toarray())
             evals, evecs = np.linalg.eigh(gram)
             order = np.argsort(evals)[::-1]
             sig = np.sqrt(np.clip(evals[order], 0.0, None))

@@ -97,6 +97,16 @@ def test_exit_code_2_on_bad_tensor_file(tmp_path, capsys):
     assert "dense" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", ["tucker_svd_seq", "kr_tucker"])
+def test_exit_code_2_on_non_finite_tensor(tmp_path, capsys, alg):
+    a = ts.gen_reciprocal_sum((6, 5, 4))
+    a[1, 2, 3] = np.nan
+    p = tmp_path / "nan.txt"
+    ts.write_tensor(a, p)
+    assert run(["decompose", str(p), "--algorithm", alg, "--rank", "2"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
     assert run(["decompose", str(tmp_path / "nope.txt"), "--algorithm", "hooi",
                 "--rank", "2"]) == 2

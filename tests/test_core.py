@@ -7,6 +7,8 @@ fastest); everything else must stay consistent with them.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuckersketch import core
 
@@ -214,3 +216,51 @@ def test_empty_sparse_tensor():
     assert s.nnz == 0
     assert core.frob_norm(s) == 0.0
     assert np.count_nonzero(s.densify()) == 0
+
+
+# ---- mode_product layouts ----
+
+
+@st.composite
+def contraction_cases(draw):
+    order = draw(st.integers(1, 5))
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
+    mode = draw(st.integers(1, order))
+    rows = draw(st.integers(1, 4))
+    layout = draw(st.sampled_from(["C", "F", "moveaxis", "slice", "sparse"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return dims, mode, rows, layout, seed
+
+
+def tensor_in_layout(dims, layout, rng):
+    if layout == "C":
+        return rng.standard_normal(dims)
+    if layout == "F":
+        return np.asfortranarray(rng.standard_normal(dims))
+    if layout == "moveaxis":
+        return np.moveaxis(rng.standard_normal(dims[-1:] + dims[:-1]), 0, -1)
+    if layout == "slice":
+        return rng.standard_normal(tuple(2 * d for d in dims))[(slice(None, None, 2),) * len(dims)]
+    dense = rng.standard_normal(dims) * (rng.random(dims) < 0.5)
+    coords = np.argwhere(dense != 0.0)
+    return core.SparseTensor(dims, coords, dense[tuple(coords.T)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(contraction_cases())
+def test_mode_product_matches_unfold_reference_in_every_layout(case):
+    dims, mode, rows, layout, seed = case
+    rng = np.random.default_rng(seed)
+    t = tensor_in_layout(dims, layout, rng)
+    b = rng.standard_normal((rows, dims[mode - 1]))
+    dense = t.densify() if isinstance(t, core.SparseTensor) else np.array(t)
+    new_dims = dims[: mode - 1] + (rows,) + dims[mode:]
+    ref = core.fold(b @ core.unfold(dense, mode), mode, new_dims)
+    out = core.mode_product(t, mode, b)
+    assert out.shape == new_dims
+    assert out.flags.c_contiguous or out.flags.f_contiguous
+    # relative to the size of the summed terms, so cancellation cannot fail it
+    scale = np.linalg.norm(np.abs(b) @ np.abs(core.unfold(dense, mode)))
+    assert np.linalg.norm(out - ref) <= 1e-13 * scale
+    if not isinstance(t, core.SparseTensor):
+        np.testing.assert_array_equal(t, dense)

@@ -139,3 +139,13 @@ def test_sketch_preserves_singular_value_bounds():
         gnorm = np.linalg.svd(g, compute_uv=False)[0]
         for k in range(len(sag)):
             assert sag[k] <= gnorm * sa[k] + 1e-9
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_factorizations_reject_non_finite_input(value):
+    a = np.arange(12.0).reshape(4, 3)
+    a[1, 2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.svd(a)
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.qr_basis_with_rank(a)

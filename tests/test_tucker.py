@@ -5,6 +5,7 @@ approximation drops only the trailing 1, so RLNE = 1/sqrt(14); rank-(1,1,1)
 drops 2 and 1, so RLNE = sqrt(5/14). Worked by hand, frozen here.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -205,3 +206,78 @@ def test_reconstruct_matches_projection_chain():
     for n, q in enumerate(apx.factors, start=1):
         manual = ts.mode_product(manual, n, q)
     np.testing.assert_allclose(recon, manual, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims, rank", [((14, 12, 10), (3, 4, 2)), ((7, 6, 5, 4), (2, 3, 2, 2))])
+@pytest.mark.parametrize("alg", tucker.ALGORITHMS)
+def test_memory_order_does_not_change_the_decomposition(alg, dims, rank):
+    # mode_product contracts an F-ordered tensor through its transpose;
+    # read_tensor returns F order, the generators C order
+    a, _ = ts.gen_tucker_noise(ts.NoisySpec(rank, 30.0, seed=4), dims)
+    a = np.ascontiguousarray(a)
+    apx_c = ts.decompose(a, alg, rank, seed=2)
+    apx_f = ts.decompose(np.asfortranarray(a), alg, rank, seed=2)
+    for q_c, q_f in zip(apx_c.factors, apx_f.factors):
+        np.testing.assert_allclose(q_f, q_c, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(apx_f.core, apx_c.core, rtol=0, atol=1e-9 * ts.frob_norm(a))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("alg", ["tucker_svd_seq", "tucker_svd_batch"])
+def test_sketched_decomposition_and_rlne_do_not_copy_the_input(alg, order):
+    a = np.asarray(ts.gen_reciprocal_sum((60, 60, 60)), order=order)
+    tracemalloc.start()
+    try:
+        apx = ts.decompose(a, alg, (4, 4, 4), seed=0)
+        decompose_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ts.rlne(a, apx)
+        rlne_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decompose_peak < a.nbytes / 2
+    # the reconstruction itself is one tensor-sized array
+    assert rlne_peak < 1.5 * a.nbytes
+
+
+def test_identity_factor_is_not_shared_writable():
+    # a full-rank mode returns a cached identity; writing to it once made
+    # every later run with that mode size fail its orthonormality check
+    a = ts.gen_reciprocal_sum((5, 5, 5, 16))
+    apx = ts.decompose(a, "tucker_svd_seq", (2, 2, 2, 16), seed=0)
+    with pytest.raises(ValueError):
+        apx.factors[3][0, 0] = 2.0
+    again = ts.decompose(a, "tucker_svd_seq", (2, 2, 2, 16), seed=0)
+    np.testing.assert_array_equal(again.factors[3], np.eye(16))
+
+
+def with_bad_entry(a, value):
+    a = a.copy()
+    a[2, 3, 1] = value
+    return a
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("alg", tucker.ALGORITHMS)
+def test_non_finite_input_is_rejected(alg, sparse, value):
+    a = with_bad_entry(exact_rank_tensor((8, 9, 7), (2, 2, 2), seed=3), value)
+    if sparse:
+        coords = np.argwhere(a != 0.0)
+        a = ts.SparseTensor(a.shape, coords, a[tuple(coords.T)])
+    with pytest.raises(ValueError, match="non-finite"):
+        ts.decompose(a, alg, (3, 3, 3), seed=1)
+
+
+def test_non_finite_input_is_rejected_when_every_mode_is_full_rank():
+    # no mode is sketched or factorized, so only the core check sees it
+    a = with_bad_entry(ts.gen_reciprocal_sum((4, 5, 3)), np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        ts.decompose(a, "tucker_svd_seq", (4, 5, 3))
+
+
+def test_nan_factor_fails_orthonormality_check():
+    q = np.eye(3)[:, :2].copy()
+    q[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not orthonormal"):
+        ts.TuckerApprox(np.zeros((2,)), [q])
