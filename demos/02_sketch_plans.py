@@ -51,9 +51,9 @@ stream = ts.GaussianStream(plan_s.seed, 1)
 l12, l13 = plan_s.sketch_dims[1]
 g2 = ts.gaussian_matrix(stream.fork(2), l12, 9)
 g3 = ts.gaussian_matrix(stream.fork(3), l13, 7)
-explicit = ts.unfold(small, 1) @ ts.kron(g3, g2).T
+explicit = ts.unfold(small, 1) @ np.kron(g3, g2).T
 print()
 print("structured sketch matches explicit Kronecker product:",
       np.allclose(sk, explicit, atol=1e-10))
 print("sketch shape:", sk.shape, "— the full test matrix",
-      (ts.kron(g3, g2).T).shape, "is never built at real sizes")
+      (np.kron(g3, g2).T).shape, "is never built at real sizes")

@@ -16,12 +16,11 @@ import numpy as np
 
 from . import generators
 from .core import SparseTensor, frob_norm, mode_product, unfold
+from .generators import FAMILIES
 from .linalg import delta_tail
 from .tucker import ALGORITHMS, decompose, rlne, tucker_svd_seq
 
 CSV_HEADER = ("family", "dims", "algorithm", "P", "seed", "rlne", "fit", "wall_time_s", "extra")
-
-FAMILIES = ("reciprocal_sum", "log_reciprocal", "sparse_outer", "random_sparse", "tucker_noise")
 
 
 @dataclass
@@ -125,27 +124,17 @@ def load_config(path):
 
 def _family_instances(family, config):
     """Yield (tensor, extra) pairs for one family at the configured dims."""
-    dims = config.dims
-    order = len(dims)
-    if family == "reciprocal_sum":
-        yield generators.gen_reciprocal_sum(dims), ""
-    elif family == "log_reciprocal":
-        yield generators.gen_log_reciprocal(dims), ""
-    elif family == "sparse_outer":
-        if len(set(dims)) != 1:
-            raise ValueError(f"sparse_outer needs cubic dims, got {dims}")
-        yield generators.gen_sparse_outer(
-            dims[0], densities=config.densities, seed=config.family_seed, order=order
-        ), ""
-    elif family == "random_sparse":
-        yield generators.gen_random_sparse(dims, config.nnz, seed=config.family_seed), ""
-    elif family == "tucker_noise":
-        for snr in config.snr_db:
-            spec = generators.NoisySpec(tuple(config.core_dims), snr, config.family_seed)
-            tensor, _ = generators.gen_tucker_noise(spec, dims)
-            yield tensor, f"snr_db={snr:g}"
-    else:
-        raise ValueError(f"unknown family {family!r}; valid names: {', '.join(FAMILIES)}")
+    for snr in config.snr_db if family == "tucker_noise" else (None,):
+        tensor = generators.generate(
+            family,
+            config.dims,
+            seed=config.family_seed,
+            nnz=config.nnz,
+            densities=config.densities,
+            core_dims=config.core_dims,
+            snr_db=snr,
+        )
+        yield tensor, "" if snr is None else f"snr_db={snr:g}"
 
 
 def mode_singular_values(a):

@@ -33,25 +33,17 @@ def _rank_for(a, text):
 
 
 def cmd_gen(args):
-    dims = _ints(args.dims)
-    if args.family == "reciprocal_sum":
-        t = generators.gen_reciprocal_sum(dims)
-    elif args.family == "log_reciprocal":
-        t = generators.gen_log_reciprocal(dims)
-    elif args.family == "sparse_outer":
-        if len(set(dims)) != 1:
-            raise ValueError(f"sparse_outer needs cubic dims, got {dims}")
-        dens = _floats(args.densities) if args.densities else None
-        t = generators.gen_sparse_outer(
-            dims[0], densities=dens, seed=args.seed, order=len(dims)
-        )
-    elif args.family == "random_sparse":
-        t = generators.gen_random_sparse(dims, args.nnz, seed=args.seed)
-    else:
-        if args.core_dims is None:
-            raise ValueError("--core-dims is required for the tucker_noise family")
-        spec = generators.NoisySpec(_ints(args.core_dims), args.snr_db, args.seed)
-        t, _ = generators.gen_tucker_noise(spec, dims)
+    if args.family == "tucker_noise" and args.core_dims is None:
+        raise ValueError("--core-dims is required for the tucker_noise family")
+    t = generators.generate(
+        args.family,
+        _ints(args.dims),
+        seed=args.seed,
+        nnz=args.nnz,
+        densities=_floats(args.densities) if args.densities else None,
+        core_dims=_ints(args.core_dims) if args.core_dims else None,
+        snr_db=args.snr_db,
+    )
     tensor_io.write_tensor(t, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -125,7 +117,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write a synthetic test tensor to a file")
-    gen.add_argument("family", choices=bench_mod.FAMILIES)
+    gen.add_argument("family", choices=generators.FAMILIES)
     gen.add_argument("--dims", required=True, help="comma separated, e.g. 120,120,120")
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, default=0)

@@ -114,11 +114,6 @@ def frob_norm(t):
     return float(np.linalg.norm(np.asarray(t, dtype=np.float64)))
 
 
-def kron(a, b):
-    """Kronecker product; (i_a, i_b) block layout with b-indices fastest."""
-    return np.kron(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-
-
 def khatri_rao(a, b):
     """Column-wise Kronecker product of two matrices with equal column counts."""
     a = np.asarray(a, dtype=np.float64)
@@ -127,7 +122,7 @@ def khatri_rao(a, b):
         raise ValueError(
             f"column mismatch: left has {a.shape[1]} columns, right has {b.shape[1]}"
         )
-    # column l is kron(a[:, l], b[:, l]); b-index fastest, as in kron
+    # column l is np.kron(a[:, l], b[:, l]); b-index fastest
     return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
@@ -156,8 +151,7 @@ class SparseTensor:
         if coords.size:
             if coords.min() < 0 or np.any(coords >= np.asarray(self.dims)):
                 raise ValueError("coords out of range for dims " + str(self.dims))
-            lin = np.ravel_multi_index(coords.T, self.dims, order="F")
-            if np.unique(lin).size != lin.size:
+            if _first_of_runs(coords[np.lexsort(coords.T)]).sum() != len(coords):
                 raise ValueError("duplicate coordinates; sum duplicates before building")
         self.coords = coords
         self.values = values
@@ -194,23 +188,35 @@ class SparseTensor:
         )
 
 
+def _first_of_runs(rows):
+    """Mask of rows that differ from the row before them (the first is True)."""
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return first
+
+
 def accumulate_sparse(dims, coords, values):
     """Build a :class:`SparseTensor`, summing entries that share coordinates.
 
-    Exact zeros produced by cancellation are kept (the entry count is what the
-    accumulation produced, not a pruned support).
+    Entries come out in first-mode-fastest linear order; values sharing a
+    coordinate are summed in input order. Exact zeros produced by cancellation
+    are kept (the entry count is what the accumulation produced, not a pruned
+    support).
     """
     dims = tuple(int(d) for d in dims)
     coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
     values = np.asarray(values, dtype=np.float64).ravel()
     if coords.size == 0:
         return SparseTensor(dims, np.empty((0, len(dims)), dtype=np.int64), [])
-    lin = np.ravel_multi_index(coords.T, dims, order="F")
-    uniq, inverse = np.unique(lin, return_inverse=True)
-    summed = np.zeros(uniq.size)
+    # lexsort keys on the last mode first: the first-mode-fastest order, with
+    # no linear index that could overflow int64
+    order = np.lexsort(coords.T)
+    first = _first_of_runs(coords[order])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    summed = np.zeros(int(first.sum()))
     np.add.at(summed, inverse, values)
-    out_coords = np.column_stack(np.unravel_index(uniq, dims, order="F"))
-    return SparseTensor(dims, out_coords, summed)
+    return SparseTensor(dims, coords[order[first]], summed)
 
 
 def sparse_unfold_times(s, mode, m):

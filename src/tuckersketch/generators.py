@@ -164,3 +164,31 @@ def gen_tucker_noise(spec, dims):
     )
     beta = frob_norm(signal) / (frob_norm(noise) * 10.0 ** (spec.snr_db / 20.0))
     return signal + beta * noise, float(beta)
+
+
+FAMILIES = ("reciprocal_sum", "log_reciprocal", "sparse_outer", "random_sparse", "tucker_noise")
+
+
+def generate(family, dims, seed=0, nnz=3000, densities=None, core_dims=None, snr_db=math.inf):
+    """One tensor of the named family (see :data:`FAMILIES`) at ``dims``.
+
+    ``seed`` feeds the random families; ``nnz`` is for random_sparse,
+    ``densities`` for sparse_outer (cubic dims only), and ``core_dims`` and
+    ``snr_db`` for tucker_noise, whose noise scale is dropped.
+    """
+    dims = tuple(int(d) for d in dims)
+    if family == "reciprocal_sum":
+        return gen_reciprocal_sum(dims)
+    if family == "log_reciprocal":
+        return gen_log_reciprocal(dims)
+    if family == "sparse_outer":
+        if len(set(dims)) != 1:
+            raise ValueError(f"sparse_outer needs cubic dims, got {dims}")
+        return gen_sparse_outer(dims[0], densities=densities, seed=seed, order=len(dims))
+    if family == "random_sparse":
+        return gen_random_sparse(dims, nnz, seed=seed)
+    if family == "tucker_noise":
+        if core_dims is None:
+            raise ValueError("core dims are required for the tucker_noise family")
+        return gen_tucker_noise(NoisySpec(tuple(core_dims), snr_db, seed), dims)[0]
+    raise ValueError(f"unknown family {family!r}; valid names: {', '.join(FAMILIES)}")

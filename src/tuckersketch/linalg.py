@@ -120,24 +120,6 @@ def fixed_rank_basis(a, mu):
     return q, s
 
 
-def orthonormal_basis_qr(a):
-    """Orthonormal basis for the columns of ``a`` via economy QR.
-
-    The R diagonal is made nonnegative, so an input with orthonormal columns
-    comes back unchanged. Columns beyond the numerical rank (judged from the
-    R diagonal, the cheap stand-in for sigma_1 here) are still orthonormal but
-    arbitrary, and a :class:`RankDeficiencyWarning` is emitted.
-    """
-    q, rank = qr_basis_with_rank(a)
-    if rank < q.shape[1]:
-        warnings.warn(
-            f"columns are numerically rank deficient ({rank} < {q.shape[1]})",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
-    return q
-
-
 def qr_basis_with_rank(a):
     """Sign-normalized economy QR basis plus the R-diagonal rank decision."""
     a = check_finite(a)

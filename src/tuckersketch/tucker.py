@@ -4,12 +4,16 @@ All algorithms return a :class:`TuckerApprox` whose core is the source tensor
 projected onto the orthonormal factor bases, so the reconstruction error obeys
 ``||a - recon||^2 = ||a||^2 - ||core||^2`` up to roundoff.
 
+Every non-iterative algorithm runs the one per-mode loop :func:`_tucker`
+with its own basis builder. A full-rank mode gets a ``None`` factor there,
+which :func:`_project` skips; only the result holds a fresh identity for it.
+
 Randomized algorithms are pure functions of (tensor, plan/parameters, seed);
 see :mod:`tuckersketch.sketch` for the stream derivation.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,35 +108,18 @@ class Metrics:
     wall_time_s: float
 
 
-_IDENTITY_CACHE = {}
-
-
-def _identity_factor(dim):
-    if dim not in _IDENTITY_CACHE:
-        eye = np.eye(dim)
-        # shared by every result that skips a full-rank mode: a write to one
-        # would corrupt the others and the skip test in _project
-        eye.flags.writeable = False
-        _IDENTITY_CACHE[dim] = eye
-    return _IDENTITY_CACHE[dim]
-
-
 def _project(a, factors, skip=None):
     """``a x_m Q_m^T`` over all modes (except ``skip``), densified output.
 
-    Contracts in decreasing shrink ratio, ties by ascending mode; factors that
-    are the cached identity (degenerate full-rank modes) are no-ops and are
-    skipped.
+    Contracts in decreasing shrink ratio, ties by ascending mode; a ``None``
+    factor marks a skipped full-rank mode and is not contracted.
     """
     dims = _dims_of(a)
-    jobs = []
-    for m in range(1, len(dims) + 1):
-        if m == skip:
-            continue
-        q = factors[m - 1]
-        if q is _IDENTITY_CACHE.get(q.shape[0]):
-            continue
-        jobs.append((dims[m - 1] / q.shape[1], m, q))
+    jobs = [
+        (dims[m - 1] / q.shape[1], m, q)
+        for m, q in enumerate(factors, start=1)
+        if q is not None and m != skip
+    ]
     out = a
     for _, m, q in sorted(jobs, key=lambda j: (-j[0], j[1])):
         out = mode_product(out, m, q.T)
@@ -184,9 +171,84 @@ def _validate_rank(dims, target_rank):
             )
 
 
-def _basis_rank_from_s(s):
-    # row norms of s are exactly the leading singular values
-    return linalg.numerical_rank(np.linalg.norm(s, axis=1))
+def _tucker(a, target_rank, basis, order=None, sequential=True):
+    """Per-mode loop: ``basis(c, n, mu)`` gives (factor, numerical rank).
+
+    ``sequential`` shrinks the working tensor ``c`` by each factor in ``order``
+    (default 1..N), so ``c`` ends as the core; otherwise the core is one
+    projection of ``a`` at the end.
+    """
+    dims = _dims_of(a)
+    target_rank = tuple(int(r) for r in target_rank)
+    _validate_rank(dims, target_rank)
+    c = a
+    factors = [None] * len(dims)
+    warned = []
+    for n in order or range(1, len(dims) + 1):
+        mu = target_rank[n - 1]
+        if mu == dims[n - 1]:
+            continue
+        q, rank = basis(c, n, mu)
+        if rank < mu:
+            warned.append(n)
+        factors[n - 1] = q
+        if sequential:
+            c = mode_product(c, n, q.T)
+    if not sequential:
+        c = _project(a, factors)
+    if isinstance(c, SparseTensor):
+        c = c.densify()
+    elif c is a:
+        # every mode was full rank: the core must not alias the input
+        c = np.array(a, dtype=np.float64)
+    factors = [np.eye(d) if q is None else q for d, q in zip(dims, factors)]
+    return TuckerApprox(c, factors, rank_warnings=tuple(sorted(warned)))
+
+
+def _sketch_basis(plan):
+    """Structured-sketch basis: rank-mu SVD of the mode's Kronecker sketch."""
+
+    def basis(c, n, mu):
+        b = sketch_mode(c, n, plan, GaussianStream(plan.seed, n))
+        q, s = linalg.fixed_rank_basis(b, mu)
+        # row norms of s are exactly the leading singular values
+        return q, linalg.numerical_rank(np.linalg.norm(s, axis=1))
+
+    return basis
+
+
+def _qr_basis(sketcher, target_rank, lprime, oversampling, seed):
+    """QR basis of a one-matrix sketch of width ``lprime`` (scalar or per mode)."""
+    if lprime is None:
+        lprime = [int(mu) + oversampling for mu in target_rank]
+    elif np.isscalar(lprime):
+        lprime = [lprime] * len(target_rank)
+    lprimes = [int(x) for x in lprime]
+    if len(lprimes) != len(target_rank):
+        raise ValueError(f"need one sketch width per mode, got {lprimes}")
+    for mu, lp in zip(target_rank, lprimes):
+        if lp < mu:
+            raise ValueError(f"sketch width {lp} is below target rank {mu}")
+
+    def basis(c, n, mu):
+        b = sketcher(c, n, lprimes[n - 1], GaussianStream(seed, n))
+        q, rank = linalg.qr_basis_with_rank(b)
+        return q[:, :mu], rank
+
+    return basis
+
+
+def _exact_basis(a, n, mu):
+    """Leading mu left singular vectors of the exact mode-n unfolding."""
+    if isinstance(a, SparseTensor):
+        x = a.unfold_csr(n)
+        evals, evecs = np.linalg.eigh(linalg.check_finite((x @ x.T).toarray()))
+        order = np.argsort(evals)[::-1]
+        sig, u = np.sqrt(np.clip(evals[order], 0.0, None)), evecs[:, order]
+        u = u * linalg.column_sign_flips(u)
+    else:
+        u, sig, _ = linalg.svd(unfold(a, n))
+    return u[:, :mu], linalg.numerical_rank(sig)
 
 
 def tucker_svd_batch(a, plan):
@@ -196,23 +258,7 @@ def tucker_svd_batch(a, plan):
     Gaussian matrices, take the rank-mu_n SVD basis of the mode-n unfolding of
     the sketch, then project ``a`` onto all the bases at once for the core.
     """
-    dims = _dims_of(a)
-    target_rank = plan.target_rank
-    _validate_rank(dims, target_rank)
-    factors = [None] * len(dims)
-    warned = []
-    for n in range(1, len(dims) + 1):
-        mu = target_rank[n - 1]
-        if mu == dims[n - 1]:
-            factors[n - 1] = _identity_factor(mu)
-            continue
-        b = sketch_mode(a, n, plan, GaussianStream(plan.seed, n))
-        q, s = linalg.fixed_rank_basis(b, mu)
-        if _basis_rank_from_s(s) < mu:
-            warned.append(n)
-        factors[n - 1] = q
-    core = _project(a, factors)
-    return TuckerApprox(core, factors, rank_warnings=tuple(warned))
+    return _tucker(a, plan.target_rank, _sketch_basis(plan), sequential=False)
 
 
 def tucker_svd_seq(a, plan):
@@ -222,64 +268,7 @@ def tucker_svd_seq(a, plan):
     shrinks the working tensor, so later sketches act on smaller data. The
     final working tensor is the core.
     """
-    dims = list(_dims_of(a))
-    target_rank = plan.target_rank
-    _validate_rank(dims, target_rank)
-    c = a
-    factors = [None] * len(dims)
-    warned = []
-    for n in plan.order:
-        mu = target_rank[n - 1]
-        if mu == dims[n - 1]:
-            factors[n - 1] = _identity_factor(mu)
-            continue
-        b = sketch_mode(c, n, plan, GaussianStream(plan.seed, n))
-        q, s = linalg.fixed_rank_basis(b, mu)
-        if _basis_rank_from_s(s) < mu:
-            warned.append(n)
-        factors[n - 1] = q
-        c = mode_product(c, n, q.T)
-        dims[n - 1] = mu
-    if isinstance(c, SparseTensor):
-        c = c.densify()
-    return TuckerApprox(c, factors, rank_warnings=tuple(sorted(warned)))
-
-
-def _gaussian_sequential(a, target_rank, lprime, seed, sketcher):
-    dims = list(_dims_of(a))
-    _validate_rank(dims, target_rank)
-    lprimes = _per_mode_lprime(lprime, target_rank)
-    c = a
-    factors = [None] * len(dims)
-    warned = []
-    for n in range(1, len(dims) + 1):
-        mu = target_rank[n - 1]
-        if mu == dims[n - 1]:
-            factors[n - 1] = _identity_factor(mu)
-            continue
-        b = sketcher(c, n, lprimes[n - 1], GaussianStream(seed, n))
-        q, rank = linalg.qr_basis_with_rank(b)
-        if rank < mu:
-            warned.append(n)
-        factors[n - 1] = q[:, :mu]
-        c = mode_product(c, n, factors[n - 1].T)
-        dims[n - 1] = mu
-    if isinstance(c, SparseTensor):
-        c = c.densify()
-    return TuckerApprox(c, factors, rank_warnings=tuple(warned))
-
-
-def _per_mode_lprime(lprime, target_rank):
-    if np.isscalar(lprime):
-        out = [int(lprime)] * len(target_rank)
-    else:
-        out = [int(x) for x in lprime]
-        if len(out) != len(target_rank):
-            raise ValueError(f"need one sketch width per mode, got {out}")
-    for mu, lp in zip(target_rank, out):
-        if lp < mu:
-            raise ValueError(f"sketch width {lp} is below target rank {mu}")
-    return out
+    return _tucker(a, plan.target_rank, _sketch_basis(plan), plan.order)
 
 
 def ran_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
@@ -289,10 +278,8 @@ def ran_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
     (prod of other dims) x lprime Gaussian, and the basis comes from QR
     truncated to mu_n columns. ``lprime`` defaults to mu_n + oversampling.
     """
-    target_rank = tuple(int(r) for r in target_rank)
-    if lprime is None:
-        lprime = [mu + oversampling for mu in target_rank]
-    return _gaussian_sequential(a, target_rank, lprime, seed, sketch_full_gaussian)
+    basis = _qr_basis(sketch_full_gaussian, target_rank, lprime, oversampling, seed)
+    return _tucker(a, target_rank, basis)
 
 
 def kr_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
@@ -302,10 +289,8 @@ def kr_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
     Kronecker chain of per-mode I_m x lprime Gaussians, so only
     sum(I_m) * lprime variates are drawn per mode.
     """
-    target_rank = tuple(int(r) for r in target_rank)
-    if lprime is None:
-        lprime = [mu + oversampling for mu in target_rank]
-    return _gaussian_sequential(a, target_rank, lprime, seed, sketch_khatri_rao)
+    basis = _qr_basis(sketch_khatri_rao, target_rank, lprime, oversampling, seed)
+    return _tucker(a, target_rank, basis)
 
 
 def truncated_hosvd(a, target_rank):
@@ -315,32 +300,7 @@ def truncated_hosvd(a, target_rank):
     sparse inputs use the eigendecomposition of the (small) Gram matrix of the
     unfolding, which never densifies the tensor.
     """
-    dims = _dims_of(a)
-    target_rank = tuple(int(r) for r in target_rank)
-    _validate_rank(dims, target_rank)
-    factors = [None] * len(dims)
-    warned = []
-    for n in range(1, len(dims) + 1):
-        mu = target_rank[n - 1]
-        if mu == dims[n - 1]:
-            factors[n - 1] = _identity_factor(mu)
-            continue
-        if isinstance(a, SparseTensor):
-            x = a.unfold_csr(n)
-            gram = linalg.check_finite((x @ x.T).toarray())
-            evals, evecs = np.linalg.eigh(gram)
-            order = np.argsort(evals)[::-1]
-            sig = np.sqrt(np.clip(evals[order], 0.0, None))
-            u = evecs[:, order]
-            q = (u * linalg.column_sign_flips(u))[:, :mu]
-        else:
-            u, sig, _ = linalg.svd(unfold(a, n))
-            q = u[:, :mu]
-        if linalg.numerical_rank(sig) < mu:
-            warned.append(n)
-        factors[n - 1] = q
-    core = _project(a, factors)
-    return TuckerApprox(core, factors, rank_warnings=tuple(warned))
+    return _tucker(a, target_rank, _exact_basis, sequential=False)
 
 
 def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):

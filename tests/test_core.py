@@ -90,6 +90,8 @@ def test_frob_norm_value():
 
 
 def test_kron_oracle():
+    # the (i_a, i_b) block layout, b-index fastest, that khatri_rao and the
+    # sketch chains are written against
     p = np.array([[1.0, 2.0], [3.0, 4.0]])
     q = np.array([[5.0, 6.0], [7.0, 8.0], [9.0, 10.0]])
     expected = [
@@ -100,7 +102,7 @@ def test_kron_oracle():
         [21.0, 24.0, 28.0, 32.0],
         [27.0, 30.0, 36.0, 40.0],
     ]
-    np.testing.assert_array_equal(core.kron(p, q), expected)
+    np.testing.assert_array_equal(np.kron(p, q), expected)
 
 
 def test_khatri_rao_oracle():
@@ -209,6 +211,39 @@ def test_accumulate_sparse_keeps_cancelled_entries():
     s = core.accumulate_sparse((2, 2, 2), coords, [3.0, -3.0])
     assert s.nnz == 1
     assert s.values[0] == 0.0
+
+
+def accumulate_by_linear_index(dims, coords, values):
+    # the earlier implementation, exact while prod(dims) fits in int64
+    lin = np.ravel_multi_index(coords.T, dims, order="F")
+    uniq, inverse = np.unique(lin, return_inverse=True)
+    summed = np.zeros(uniq.size)
+    np.add.at(summed, inverse, values)
+    return np.column_stack(np.unravel_index(uniq, dims, order="F")), summed
+
+
+def test_accumulate_sparse_matches_linear_index_order():
+    rng = np.random.default_rng(8)
+    for dims in [(3, 3, 3), (5, 1, 4), (2, 3, 4, 5), (7,)]:
+        for nnz in (1, 10, 60):
+            coords = np.column_stack([rng.integers(0, d, size=nnz) for d in dims])
+            values = rng.standard_normal(nnz)
+            s = core.accumulate_sparse(dims, coords, values)
+            ref_coords, ref_values = accumulate_by_linear_index(dims, coords, values)
+            np.testing.assert_array_equal(s.coords, ref_coords)
+            assert s.values.tobytes() == ref_values.tobytes()
+
+
+def test_sparse_tensor_at_ten_million_per_mode():
+    # 10^21 entries: a first-mode-fastest linear index would overflow int64
+    dims = (10**7,) * 3
+    coords = [[9_999_999, 5, 3], [0, 0, 0], [9_999_999, 5, 2]]
+    assert core.SparseTensor(dims, coords, [1.0, 2.0, 3.0]).nnz == 3
+    with pytest.raises(ValueError, match="duplicate"):
+        core.SparseTensor(dims, coords + [[0, 0, 0]], [1.0, 2.0, 3.0, 4.0])
+    s = core.accumulate_sparse(dims, coords + [[0, 0, 0]], [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(s.coords, [[0, 0, 0], [9_999_999, 5, 2], [9_999_999, 5, 3]])
+    np.testing.assert_array_equal(s.values, [6.0, 3.0, 1.0])
 
 
 def test_empty_sparse_tensor():

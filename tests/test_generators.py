@@ -186,3 +186,43 @@ def test_generator_seed_isolation():
     a = ts.gen_random_sparse((9, 9, 9), 50, seed=0)
     b = ts.gen_random_sparse((9, 9, 9), 50, seed=0)
     np.testing.assert_array_equal(a.coords, b.coords)
+
+
+def _same_tensor(x, y):
+    if isinstance(x, ts.SparseTensor):
+        return (x.dims == y.dims and np.array_equal(x.coords, y.coords)
+                and x.values.tobytes() == y.values.tobytes())
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_generate_dispatches_every_family():
+    from tuckersketch import bench, cli
+
+    dims = (6, 6, 6)
+    expected = {
+        "reciprocal_sum": ts.gen_reciprocal_sum(dims),
+        "log_reciprocal": ts.gen_log_reciprocal(dims),
+        "sparse_outer": ts.gen_sparse_outer(6, densities=(0.5, 0.4, 0.3), seed=2),
+        "random_sparse": ts.gen_random_sparse(dims, 40, seed=2),
+        "tucker_noise": ts.gen_tucker_noise(ts.NoisySpec((2, 2, 2), 10.0, 2), dims)[0],
+    }
+    assert tuple(expected) == generators.FAMILIES
+    for family, want in expected.items():
+        got = generators.generate(family, dims, seed=2, nnz=40, densities=(0.5, 0.4, 0.3),
+                                  core_dims=(2, 2, 2), snr_db=10.0)
+        assert _same_tensor(got, want), family
+    # the one table: bench and the CLI take their family names from it
+    assert bench.FAMILIES is generators.FAMILIES
+    parser = cli._build_parser()
+    for family in generators.FAMILIES:
+        args = parser.parse_args(["gen", family, "--dims", "4,4,4", "--out", "t.txt"])
+        assert args.family == family
+
+
+def test_generate_rejects_bad_requests():
+    with pytest.raises(ValueError, match="valid names"):
+        generators.generate("nope", (4, 4, 4))
+    with pytest.raises(ValueError, match="cubic"):
+        generators.generate("sparse_outer", (4, 5, 4))
+    with pytest.raises(ValueError, match="core dims"):
+        generators.generate("tucker_noise", (4, 4, 4))

@@ -111,7 +111,8 @@ def test_fixed_rank_basis_warns_on_deficiency():
 def test_orthonormal_basis_qr_spans_range():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((9, 5))
-    q = linalg.orthonormal_basis_qr(a)
+    q, rank = linalg.qr_basis_with_rank(a)
+    assert rank == 5
     np.testing.assert_allclose(q.T @ q, np.eye(5), atol=1e-12)
     # projection onto span(q) reproduces a
     np.testing.assert_allclose(q @ (q.T @ a), a, atol=1e-10)
@@ -124,8 +125,7 @@ def test_qr_basis_with_rank_detects_deficiency():
     q, rank = linalg.qr_basis_with_rank(a)  # reports, never warns
     assert rank == 2
     assert q.shape == (10, 6)
-    with pytest.warns(linalg.RankDeficiencyWarning):
-        linalg.orthonormal_basis_qr(a)
+    np.testing.assert_allclose(q.T @ q, np.eye(6), atol=1e-12)
 
 
 def test_sketch_preserves_singular_value_bounds():

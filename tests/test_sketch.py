@@ -139,7 +139,7 @@ def test_sketch_mode_equals_kron_chain():
             for m, ell in zip(others, plan.sketch_dims[n])
         }
         # unfold(c x G's, n) = unfold(c, n) @ kron(G_last, ..., G_first)^T
-        chain = core.kron(mats[others[1]], mats[others[0]])
+        chain = np.kron(mats[others[1]], mats[others[0]])
         np.testing.assert_allclose(b, core.unfold(c, n) @ chain.T, atol=1e-10)
 
 

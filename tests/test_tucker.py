@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tuckersketch as ts
 from tuckersketch import linalg, tucker
@@ -33,6 +35,11 @@ def exact_rank_tensor(dims, rank, seed):
     for n in range(1, len(dims) + 1):
         a = ts.mode_product(a, n, rng.standard_normal((dims[n - 1], rank[n - 1])))
     return a
+
+
+def sparse_copy(a):
+    coords = np.argwhere(a != 0.0)
+    return ts.SparseTensor(a.shape, coords, a[tuple(coords.T)])
 
 
 def test_hosvd_superdiagonal_oracles():
@@ -241,14 +248,36 @@ def test_sketched_decomposition_and_rlne_do_not_copy_the_input(alg, order):
 
 
 def test_identity_factor_is_not_shared_writable():
-    # a full-rank mode returns a cached identity; writing to it once made
-    # every later run with that mode size fail its orthonormality check
+    # a skipped full-rank mode's identity factor belongs to its result:
+    # writing to it must not reach other results, earlier or later (hooi
+    # refines every mode, so its full-rank factor is an SVD basis, not eye)
     a = ts.gen_reciprocal_sum((5, 5, 5, 16))
-    apx = ts.decompose(a, "tucker_svd_seq", (2, 2, 2, 16), seed=0)
-    with pytest.raises(ValueError):
+    for alg in tucker.ALGORITHMS:
+        if alg == "hooi":
+            continue
+        apx = ts.decompose(a, alg, (2, 2, 2, 16), seed=0)
+        other = ts.decompose(a, alg, (2, 2, 2, 16), seed=0)
         apx.factors[3][0, 0] = 2.0
-    again = ts.decompose(a, "tucker_svd_seq", (2, 2, 2, 16), seed=0)
-    np.testing.assert_array_equal(again.factors[3], np.eye(16))
+        again = ts.decompose(a, alg, (2, 2, 2, 16), seed=0)
+        np.testing.assert_array_equal(other.factors[3], np.eye(16))
+        np.testing.assert_array_equal(again.factors[3], np.eye(16))
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("alg", tucker.ALGORITHMS)
+def test_core_never_aliases_the_input(alg, sparse):
+    # with every mode at full rank the approximation reproduces the input,
+    # but its core is never the input array itself
+    dense = exact_rank_tensor((4, 5, 6), (2, 2, 2), seed=4)
+    a = sparse_copy(dense) if sparse else dense
+    before = dense.copy()
+    apx = ts.decompose(a, alg, dense.shape, seed=0)
+    np.testing.assert_allclose(ts.reconstruct(apx), dense, rtol=0, atol=1e-12)
+    apx.core[...] = 7.0
+    if sparse:
+        np.testing.assert_array_equal(a.densify(), before)
+    else:
+        np.testing.assert_array_equal(a, before)
 
 
 def with_bad_entry(a, value):
@@ -281,3 +310,39 @@ def test_nan_factor_fails_orthonormality_check():
     q[0, 0] = np.nan
     with pytest.raises(ValueError, match="not orthonormal"):
         ts.TuckerApprox(np.zeros((2,)), [q])
+
+
+@st.composite
+def driver_cases(draw):
+    """Order 3-4, sizes 4-12, ranks that often keep a mode at full rank."""
+    dims = tuple(draw(st.lists(st.integers(4, 12), min_size=3, max_size=4)))
+    rank = tuple(draw(st.one_of(st.just(d), st.integers(1, d))) for d in dims)
+    density = draw(st.sampled_from([1.0, 0.5]))
+    return dims, rank, density, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(driver_cases())
+def test_every_algorithm_agrees_across_dense_c_dense_f_and_sparse(case):
+    dims, rank, density, seed = case
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal(dims) * (rng.random(dims) < density)
+    inputs = {"C": dense, "F": np.asfortranarray(dense), "sparse": sparse_copy(dense)}
+    for alg in tucker.ALGORITHMS:
+        runs = {}
+        for kind, a in inputs.items():
+            apx = ts.decompose(a, alg, rank, seed=seed % 1000)
+            assert apx.source_residuals(a)[1] <= 1e-8, (alg, kind)
+            runs[kind] = apx, ts.rlne(a, apx)
+        ref, ref_err = runs["C"]
+        for kind, (apx, err) in runs.items():
+            # past a mode's numerical rank the basis columns are arbitrary, and
+            # in the sequential loop they steer every later shrink
+            if ref.rank_warnings or apx.rank_warnings:
+                continue
+            # rlne is a residual norm over ||a||, so it carries an absolute
+            # roundoff of a few eps; that floor decides only when nothing
+            # was truncated (hooi rotates full-rank modes, so it is not 0)
+            assert abs(err - ref_err) <= 1e-10 * ref_err + 1e-13, (alg, kind)
+            for q, q_ref in zip(apx.factors, ref.factors):
+                np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-9, err_msg=alg)
