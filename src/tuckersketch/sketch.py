@@ -236,13 +236,32 @@ def sketch_full_gaussian(c, n, lprime, stream):
     """Unstructured sketch unfold(c, n) @ Omega with Omega drawn row-major.
 
     Omega has one row per column of the unfolding and ``lprime`` columns.
+    A dense ``c`` is contracted on its own C or F strides, viewed as
+    (pre, I_n, post) against Omega reordered to match; only Omega, which is
+    small, is ever reordered (any other layout of ``c`` is copied once, as in
+    :func:`mode_product`).
     """
     dims = _current_dims(c)
-    rows = int(np.prod([d for i, d in enumerate(dims) if i != n - 1]))
-    omega = gaussian_matrix(stream, rows, lprime)
+    others = tuple(d for i, d in enumerate(dims) if i != n - 1)
+    omega = gaussian_matrix(stream, math.prod(others), lprime)
     if isinstance(c, SparseTensor):
         return sparse_unfold_times(c, n, omega)
-    return unfold(c, n) @ omega
+    c = np.asarray(c, dtype=np.float64)
+    # Omega's rows run over the other modes earliest fastest: C order over
+    # them reversed, which is the mode order of c.T
+    omega = omega.reshape(others[::-1] + (lprime,))
+    if c.flags.f_contiguous and not c.flags.c_contiguous:
+        t, mode = c.T, c.ndim + 1 - n
+    else:
+        t, mode = np.ascontiguousarray(c), n
+        omega = np.ascontiguousarray(np.moveaxis(omega, -1, 0).T)
+    pre = math.prod(t.shape[: mode - 1])
+    post = math.prod(t.shape[mode:])
+    omega = omega.reshape(pre, post, lprime)
+    if post == 1:
+        # one GEMM instead of ``pre`` outer products
+        return t.reshape(pre, dims[n - 1]).T @ omega[:, 0]
+    return np.matmul(t.reshape(pre, dims[n - 1], post), omega).sum(axis=0)
 
 
 def sketch_khatri_rao(c, n, lprime, stream):

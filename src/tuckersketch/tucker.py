@@ -8,10 +8,15 @@ Every non-iterative algorithm runs the one per-mode loop :func:`_tucker`
 with its own basis builder. A full-rank mode gets a ``None`` factor there,
 which :func:`_project` skips; only the result holds a fresh identity for it.
 
+:func:`rlne` never forms the reconstruction: it streams the residual in
+slabs of about 2 MiB along the slowest axis in memory, reading the input
+once. :func:`reconstruct` builds the dense tensor for callers that want it.
+
 Randomized algorithms are pure functions of (tensor, plan/parameters, seed);
 see :mod:`tuckersketch.sketch` for the stream derivation.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +34,8 @@ from .sketch import (
 )
 
 ORTHO_TOL = 1e-10
+# entries per slab of the residual that rlne streams (2 MiB of doubles)
+_SLAB = 1 << 18
 
 
 class RankTooLargeError(ValueError):
@@ -137,16 +144,71 @@ def reconstruct(approx):
 
 
 def rlne(a, approx):
-    """Relative low-rank norm error ||a - reconstruct|| / ||a||."""
-    norm_a = frob_norm(a)
-    # reconstruct returns a fresh array, so the residual is formed in place
-    resid = reconstruct(approx)
-    if isinstance(a, SparseTensor):
-        if a.nnz:
-            resid[tuple(a.coords.T)] -= a.values
+    """Relative low-rank norm error ||a - reconstruct(approx)|| / ||a||.
+
+    Streams the residual slab by slab along the slowest axis in memory (the
+    first for C order and for any strided view, the last for F order), so
+    ``a`` is read once and both norms come from that one read. The core is
+    contracted once with every factor but the fastest axis's; each slab of
+    the reconstruction is then one GEMM against that factor. Memory is one
+    slab of ``_SLAB`` entries plus that core chain, never a tensor-sized
+    array; a :class:`SparseTensor` subtracts its nonzeros from each dense
+    slab instead of being densified. Raises ``ValueError`` when the dims of
+    ``a`` and ``approx`` differ.
+    """
+    dims = _dims_of(a)
+    if dims != approx.dims:
+        raise ValueError(f"tensor dims {dims} do not match approximation dims {approx.dims}")
+    core, factors = approx.core, approx.factors
+    sparse = isinstance(a, SparseTensor)
+    if not sparse:
+        a = np.asarray(a)
+        if a.flags.f_contiguous and not a.flags.c_contiguous:
+            # a.T is C-contiguous: walk the transposed problem
+            a, core, factors, dims = a.T, core.T, factors[::-1], dims[::-1]
+    w = np.ascontiguousarray(core)
+    for n, q in enumerate(factors[:-1], start=1):
+        w = mode_product(w, n, q)
+    # w has shape dims[:-1] + (r_N,); slab rows of it times q_t give the slab
+    q_t = factors[-1].T
+    last = len(dims) - 1
+    # a slab fixes the axes before k and takes `step` indices of axis k with
+    # every axis after it in full: at most _SLAB entries, in C order
+    k = next(k for k in range(len(dims)) if math.prod(dims[k + 1 :]) <= _SLAB)
+    inner = math.prod(dims[k + 1 :])
+    step = max(1, _SLAB // inner)
+    buf = np.empty(min(step, dims[k]) * inner)
+    if sparse:
+        blocks = -(-dims[k] // step)
+        slab_of = a.coords[:, k] // step
+        if k:
+            slab_of += blocks * np.ravel_multi_index(tuple(a.coords[:, :k].T), dims[:k])
+        order = np.argsort(slab_of, kind="stable")
+        bounds = np.searchsorted(slab_of[order], np.arange(math.prod(dims[:k]) * blocks + 1))
+        norm2 = float(a.values @ a.values)
     else:
-        resid -= np.asarray(a)
-    err = float(np.linalg.norm(resid))
+        norm2 = 0.0
+    err2 = 0.0
+    slabs = itertools.product(np.ndindex(*dims[:k]), range(0, dims[k], step))
+    for j, (head, start) in enumerate(slabs):
+        ix = head + (slice(start, start + step),)
+        shape = (min(step, dims[k] - start),) + dims[k + 1 :]
+        cols = ix[last] if k == last else slice(None)
+        r = buf[: shape[0] * inner].reshape(shape)
+        rows = w[ix[:last]].reshape(-1, q_t.shape[0])
+        np.matmul(rows, q_t[:, cols], out=r.reshape(-1, shape[-1]))
+        if sparse:
+            sel = order[bounds[j] : bounds[j + 1]]
+            at = (a.coords[sel, k] - start,) + tuple(a.coords[sel, k + 1 :].T)
+            r[at] -= a.values[sel]
+        else:
+            x = np.asarray(a[ix], dtype=np.float64)
+            r -= x
+            x = x.reshape(-1)
+            norm2 += float(x @ x)
+        r = r.reshape(-1)
+        err2 += float(r @ r)
+    err, norm_a = math.sqrt(err2), math.sqrt(norm2)
     if norm_a == 0.0:
         return 0.0 if err == 0.0 else math.inf
     return err / norm_a

@@ -8,8 +8,12 @@ against explicit Kronecker/Khatri-Rao matrix algebra.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuckersketch import core, sketch
+
+from test_core import tensor_in_layout
 
 # GaussianStream(7, 3).normals(5), from the independent oracle
 STREAM_7_3 = (
@@ -31,6 +35,23 @@ def test_stream_chunking_invariance():
     b = sketch.GaussianStream(3, 9)
     split = np.concatenate([a.normals(3), a.normals(2), a.normals(4)])
     np.testing.assert_array_equal(split, b.normals(9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**16),
+    st.lists(st.integers(0, 9), max_size=12),
+)
+def test_stream_split_into_any_chunks_matches_one_draw(seed, stream_id, chunks):
+    split = sketch.GaussianStream(seed, stream_id)
+    parts = [split.normals(k) for k in chunks]
+    for part, k in zip(parts, chunks):
+        assert part.shape == (k,)
+    whole = sketch.GaussianStream(seed, stream_id).normals(sum(chunks) + 1)
+    np.testing.assert_array_equal(np.concatenate([np.empty(0)] + parts), whole[:-1])
+    # and the stream continues where one draw would
+    assert split.normals(1)[0] == whole[-1]
 
 
 def test_stream_odd_carry_exactness():
@@ -178,6 +199,30 @@ def test_sketch_full_gaussian_matches_redraw():
     b = sketch.sketch_full_gaussian(c, 2, 7, stream)
     omega = sketch.gaussian_matrix(sketch.GaussianStream(9, 2), 4 * 6, 7)
     np.testing.assert_allclose(b, core.unfold(c, 2) @ omega, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    st.data(),
+    st.integers(1, 6),
+    st.sampled_from(["C", "F", "moveaxis", "slice"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_sketch_full_gaussian_matches_unfolding_in_every_layout(dims, data, lprime, layout, seed):
+    dims = tuple(dims)
+    n = data.draw(st.integers(1, len(dims)))
+    c = tensor_in_layout(dims, layout, np.random.default_rng(seed))
+    before = np.array(c)
+    rows = int(np.prod([d for i, d in enumerate(dims) if i != n - 1]))
+    omega = sketch.gaussian_matrix(sketch.GaussianStream(seed, n), rows, lprime)
+    ref = core.unfold(c, n) @ omega
+    b = sketch.sketch_full_gaussian(c, n, lprime, sketch.GaussianStream(seed, n))
+    assert b.shape == (dims[n - 1], lprime)
+    # relative to the size of the summed terms, so cancellation cannot fail it
+    scale = np.linalg.norm(np.abs(core.unfold(c, n)) @ np.abs(omega))
+    assert np.linalg.norm(b - ref) <= 1e-12 * scale
+    np.testing.assert_array_equal(c, before)
 
 
 def test_sketch_full_gaussian_sparse_matches_dense():

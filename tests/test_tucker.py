@@ -5,6 +5,7 @@ approximation drops only the trailing 1, so RLNE = 1/sqrt(14); rank-(1,1,1)
 drops 2 and 1, so RLNE = sqrt(5/14). Worked by hand, frozen here.
 """
 
+import math
 import tracemalloc
 import warnings
 
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 import tuckersketch as ts
 from tuckersketch import linalg, tucker
 from tuckersketch.sketch import SketchPlan, SketchWidthWarning, default_plan
+
+from test_core import tensor_in_layout
 
 warnings.simplefilter("ignore", SketchWidthWarning)
 
@@ -245,6 +248,86 @@ def test_sketched_decomposition_and_rlne_do_not_copy_the_input(alg, order):
     assert decompose_peak < a.nbytes / 2
     # the reconstruction itself is one tensor-sized array
     assert rlne_peak < 1.5 * a.nbytes
+
+
+def peak_bytes_of_rlne(a, apx):
+    tracemalloc.start()
+    try:
+        ts.rlne(a, apx)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_rlne_streams_without_a_tensor_sized_array(order):
+    # one 2 MiB slab (0.15 of a) plus the core chain 120 x 120 x 3 (0.025)
+    a = np.asarray(ts.gen_reciprocal_sum((120, 120, 120)), order=order)
+    apx = ts.decompose(a, "tucker_svd_seq", (3, 3, 3), seed=0)
+    assert peak_bytes_of_rlne(a, apx) < 0.2 * a.nbytes
+
+
+def test_sparse_rlne_never_densifies():
+    # one slab of 6 x 200 x 200 (0.03 of the dense size) plus the core
+    # chain 200 x 200 x 3 (0.015)
+    s = ts.gen_random_sparse((200, 200, 200), 3000, seed=0)
+    apx = ts.decompose(s, "tucker_svd_seq", (3, 3, 3), seed=0)
+    assert peak_bytes_of_rlne(s, apx) < 0.05 * 200**3 * 8
+
+
+def test_rlne_rejects_mismatched_dims():
+    apx = ts.truncated_hosvd(np.ones((4, 5, 5)), (1, 1, 1))
+    with pytest.raises(ValueError, match="do not match"):
+        ts.rlne(np.ones((5, 5)), apx)
+    s = ts.SparseTensor((4, 5, 6), [[0, 0, 0]], [1.0])
+    with pytest.raises(ValueError, match="do not match"):
+        ts.rlne(s, apx)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_rlne_of_the_zero_tensor(sparse):
+    zero = np.zeros((3, 4, 5))
+    a = sparse_copy(zero) if sparse else zero
+    assert ts.rlne(a, ts.truncated_hosvd(a, (2, 2, 2))) == 0.0
+    nonzero = ts.truncated_hosvd(exact_rank_tensor((3, 4, 5), (2, 2, 2), seed=1), (2, 2, 2))
+    assert ts.rlne(a, nonzero) == math.inf
+
+
+# at order 1 the sketch plans and the Khatri-Rao einsum have no other mode
+ORDER_1_ALGORITHMS = ("hooi", "truncated_hosvd", "ran_tucker")
+
+
+@st.composite
+def rlne_cases(draw):
+    """Orders 1-5 in every memory layout, with slabs from one entry upward."""
+    order = draw(st.integers(1, 5))
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=order, max_size=order)))
+    rank = tuple(draw(st.integers(1, d)) for d in dims)
+    layout = draw(st.sampled_from(["C", "F", "moveaxis", "slice", "sparse"]))
+    slab = draw(st.sampled_from([1, 2, 3, 7, 16, 50, tucker._SLAB]))
+    return dims, rank, layout, slab, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rlne_cases())
+def test_streamed_rlne_matches_the_dense_residual(case):
+    dims, rank, layout, slab, seed = case
+    rng = np.random.default_rng(seed)
+    a = tensor_in_layout(dims, layout, rng)
+    dense = a.densify() if isinstance(a, ts.SparseTensor) else np.array(a)
+    algorithms = tucker.ALGORITHMS if len(dims) > 1 else ORDER_1_ALGORITHMS
+    with pytest.MonkeyPatch.context() as mp:
+        # small slabs cut several axes and leave a ragged last slab
+        mp.setattr(tucker, "_SLAB", slab)
+        for alg in algorithms:
+            apx = ts.decompose(a, alg, rank, seed=seed % 1000)
+            norm_a = np.linalg.norm(dense)
+            err = np.linalg.norm(dense - ts.reconstruct(apx))
+            ref = err / norm_a if norm_a else (0.0 if err == 0.0 else math.inf)
+            got = ts.rlne(a, apx)
+            assert got == ref or abs(got - ref) <= 1e-10 * ref + 1e-13, (alg, got, ref)
+    if not isinstance(a, ts.SparseTensor):
+        np.testing.assert_array_equal(a, dense)
 
 
 def test_identity_factor_is_not_shared_writable():
