@@ -4,7 +4,10 @@ Every routine here is deterministic for a fixed input: singular vectors are
 sign-normalized so the largest-magnitude entry of each left vector is
 positive (ties broken by lowest index), and QR bases make the corresponding
 R diagonal nonnegative. Rank decisions use the threshold 1e-12 * sigma_1.
-Both factorizations reject matrices holding NaN or infinity with a
+:func:`left_singular` gives the left singular vectors of a wide matrix, such
+as an unfolding, from the R factor of its transpose's QR, so the right
+singular vectors are never formed; :func:`svd` serves the small sketches.
+Every factorization rejects matrices holding NaN or infinity with a
 ``ValueError``. Every decomposition factorizes a sketch or an unfolding of its
 input, so this is where a non-finite tensor is caught, without a separate pass
 over the tensor.
@@ -39,6 +42,30 @@ def svd(a):
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     u, vt = _fix_signs(u, vt)
     return SvdResult(u, s, vt)
+
+
+def left_singular(a, width):
+    """Leading ``width`` left singular vectors of ``a`` and all its singular values.
+
+    Takes the R factor of the Householder QR of ``a.T`` and the SVD of the
+    small ``R.T``: since ``a = R.T @ Q.T`` with orthonormal ``Q``, both share
+    their left singular vectors and singular values, and the QR is backward
+    stable, so the accuracy is the SVD's. Neither ``Q`` nor any right
+    singular vector is formed. Returns ``(u, s)`` with ``u`` of shape
+    (rows, ``width``), signs as in :func:`svd`, and ``s`` the
+    ``min(a.shape)`` singular values, non-increasing. A ``width`` above
+    ``min(a.shape)`` completes ``u`` with an orthonormal basis of the
+    complement of the range.
+    """
+    a = check_finite(a)
+    if not 1 <= width <= a.shape[0]:
+        raise ValueError(
+            f"basis width must be in 1..{a.shape[0]} for shape {a.shape}, got {width}"
+        )
+    r = np.linalg.qr(a.T, mode="r")
+    u, s, _ = np.linalg.svd(r.T, full_matrices=width > min(a.shape))
+    u = u[:, :width]
+    return u * column_sign_flips(u), s
 
 
 def check_finite(a):

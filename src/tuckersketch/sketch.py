@@ -142,13 +142,20 @@ def default_plan(dims, target_rank, oversampling=10, seed=0):
     (just mu + K when mu <= 1), split into N-1 integer factors near
     M^(1/(N-1)); the last factor is bumped until the product reaches mu + K.
     The processing order visits modes by non-increasing dimension, ties by
-    mode index. Emits :class:`SketchWidthWarning` when the chosen widths sit
-    outside the regime where the sketch-accuracy guarantee applies (most
-    practical widths do; the warning marks the run as heuristic, not wrong).
+    mode index. Raises ``ValueError`` for an order-1 tensor, which has no
+    other mode to sketch. Emits :class:`SketchWidthWarning` when the chosen
+    widths sit outside the regime where the sketch-accuracy guarantee applies
+    (most practical widths do; the warning marks the run as heuristic, not
+    wrong).
     """
     dims = tuple(int(d) for d in dims)
     target_rank = tuple(int(r) for r in target_rank)
     n_modes = len(dims)
+    if n_modes < 2:
+        raise ValueError(
+            f"a Kronecker sketch plan needs a tensor of order >= 2, got order {n_modes}; "
+            "ran_tucker, kr_tucker, hooi and truncated_hosvd accept order 1"
+        )
     if len(target_rank) != n_modes:
         raise ValueError(f"target rank has {len(target_rank)} entries for {n_modes} modes")
     for n, (mu, dim) in enumerate(zip(target_rank, dims), start=1):
@@ -284,6 +291,9 @@ def sketch_khatri_rao(c, n, lprime, stream):
                 contrib *= omegas[m][c.coords[:, m - 1]]
             np.add.at(out, c.coords[:, n - 1], contrib)
         return out
+    if not others:
+        # the Khatri-Rao product of no factors is a row of ones
+        return np.outer(c, np.ones(lprime))
     # einsum such as 'abc,bz,cz->az' for order 3
     letters = [chr(ord("a") + i) for i in range(n_modes)]
     terms = ["".join(letters)] + [letters[m - 1] + "z" for m in others]

