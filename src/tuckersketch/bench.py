@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import generators
-from .core import SparseTensor, frob_norm, mode_product, unfold
+from .core import SparseTensor, dims_of, frob_norm, mode_product, unfold
 from .generators import FAMILIES
 from .linalg import delta_tail
 from .tucker import ALGORITHMS, decompose, rlne, tucker_svd_seq
@@ -140,8 +140,7 @@ def _family_instances(family, config):
 def mode_singular_values(a):
     """Full singular value list of every mode unfolding (1-based mode order)."""
     out = []
-    n_modes = len(a.dims) if isinstance(a, SparseTensor) else a.ndim
-    for n in range(1, n_modes + 1):
+    for n in range(1, len(dims_of(a)) + 1):
         mat = a.unfold_csr(n).toarray() if isinstance(a, SparseTensor) else unfold(a, n)
         out.append(np.linalg.svd(mat, compute_uv=False))
     return out

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import generators, tensor_io
+from .core import dims_of
 from .sketch import default_plan
 from .tucker import ALGORITHMS, Metrics, RankTooLargeError, decompose, rlne
 
@@ -25,10 +26,9 @@ def _floats(text):
 
 
 def _rank_for(a, text):
-    dims = a.dims if hasattr(a, "dims") else a.shape
     rank = _ints(text)
     if len(rank) == 1:
-        rank = rank * len(dims)
+        rank = rank * len(dims_of(a))
     return rank
 
 
@@ -91,8 +91,7 @@ def cmd_bench(args):
 def cmd_probe(args):
     a = tensor_io.read_tensor(args.tensor)
     rank = _rank_for(a, args.rank)
-    dims = a.dims if hasattr(a, "dims") else a.shape
-    plan = default_plan(dims, rank, args.oversampling, args.seed)
+    plan = default_plan(dims_of(a), rank, args.oversampling, args.seed)
     probe = bench_mod.probe_bound(a, plan, args.trials, cap=args.cap)
     if probe.degenerate:
         print(

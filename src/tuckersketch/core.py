@@ -69,22 +69,20 @@ def mode_product(t, mode, b):
     F-contiguous array).
     """
     b = np.asarray(b, dtype=np.float64)
-    if isinstance(t, SparseTensor):
-        _check_mode(mode, len(t.dims))
-        if b.shape[1] != t.dims[mode - 1]:
-            raise ValueError(
-                f"matrix has {b.shape[1]} columns, mode {mode} has size {t.dims[mode - 1]}"
-            )
+    sparse = isinstance(t, SparseTensor)
+    if not sparse:
+        t = np.asarray(t, dtype=np.float64)
+    dims = dims_of(t)
+    _check_mode(mode, len(dims))
+    if b.shape[1] != dims[mode - 1]:
+        raise ValueError(
+            f"matrix has {b.shape[1]} columns, mode {mode} has size {dims[mode - 1]}"
+        )
+    if sparse:
         prod = (t.unfold_csr(mode).T @ b.T).T
-        new_dims = list(t.dims)
+        new_dims = list(dims)
         new_dims[mode - 1] = b.shape[0]
         return np.asfortranarray(fold(prod, mode, new_dims))
-    t = np.asarray(t, dtype=np.float64)
-    _check_mode(mode, t.ndim)
-    if b.shape[1] != t.shape[mode - 1]:
-        raise ValueError(
-            f"matrix has {b.shape[1]} columns, mode {mode} has size {t.shape[mode - 1]}"
-        )
     if t.flags.c_contiguous:
         return _mode_product_c(t, mode, b)
     if t.flags.f_contiguous:
@@ -106,24 +104,17 @@ def _mode_product_c(t, mode, b):
     return out.reshape(new_dims)
 
 
+def dims_of(t):
+    """Dims of a dense array or a :class:`SparseTensor`, as a tuple."""
+    return t.dims if isinstance(t, SparseTensor) else np.shape(t)
+
+
 def frob_norm(t):
     """Frobenius norm of a dense or sparse tensor."""
     if isinstance(t, SparseTensor):
         return float(np.linalg.norm(t.values))
     # norm ravels in memory order, so an F-ordered tensor is not copied
     return float(np.linalg.norm(np.asarray(t, dtype=np.float64)))
-
-
-def khatri_rao(a, b):
-    """Column-wise Kronecker product of two matrices with equal column counts."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"column mismatch: left has {a.shape[1]} columns, right has {b.shape[1]}"
-        )
-    # column l is np.kron(a[:, l], b[:, l]); b-index fastest
-    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
 class SparseTensor:
@@ -217,14 +208,3 @@ def accumulate_sparse(dims, coords, values):
     summed = np.zeros(int(first.sum()))
     np.add.at(summed, inverse, values)
     return SparseTensor(dims, coords[order[first]], summed)
-
-
-def sparse_unfold_times(s, mode, m):
-    """``unfold(densify(s), mode) @ m`` without densifying ``s``."""
-    m = np.asarray(m, dtype=np.float64)
-    csr = s.unfold_csr(mode)
-    if m.shape[0] != csr.shape[1]:
-        raise ValueError(
-            f"matrix has {m.shape[0]} rows, mode-{mode} unfolding has {csr.shape[1]} columns"
-        )
-    return np.asarray(csr @ m)

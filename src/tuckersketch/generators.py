@@ -117,8 +117,6 @@ def gen_random_sparse(dims, nnz, seed=0):
     coords = np.column_stack(
         np.unravel_index(np.asarray(chosen, dtype=np.int64), dims, order="F")
     )
-    if nnz == 0:
-        coords = np.empty((0, len(dims)), dtype=np.int64)
     return SparseTensor(dims, coords, rng.random(nnz))
 
 

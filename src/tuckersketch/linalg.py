@@ -14,7 +14,6 @@ over the tensor.
 """
 
 import warnings
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,23 +24,17 @@ class RankDeficiencyWarning(UserWarning):
     """Requested basis width exceeds the numerical rank of the input."""
 
 
-class SvdResult(NamedTuple):
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-
-
 def svd(a):
     """Full (thin) SVD with the package sign convention.
 
-    Returns ``SvdResult(u, s, vt)`` with ``u @ diag(s) @ vt == a``, singular
-    values non-increasing, and each column of ``u`` flipped so its
-    largest-magnitude entry is positive.
+    Returns ``(u, s, vt)`` with ``u @ diag(s) @ vt == a``, singular values
+    non-increasing, and each column of ``u`` (with the matching row of
+    ``vt``) flipped so its largest-magnitude entry is positive.
     """
     a = check_finite(a)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    u, vt = _fix_signs(u, vt)
-    return SvdResult(u, s, vt)
+    flip = column_sign_flips(u)
+    return u * flip, s, vt * flip[:, None]
 
 
 def left_singular(a, width):
@@ -88,11 +81,6 @@ def column_sign_flips(u):
     return np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
 
 
-def _fix_signs(u, vt):
-    flip = column_sign_flips(u)
-    return u * flip, vt * flip[:, None]
-
-
 def delta_tail(s, k):
     """Tail energy sqrt(sum_{i >= k} s_i^2) for 1-based ``k``.
 
@@ -111,11 +99,15 @@ def delta_tail(s, k):
 
 
 def numerical_rank(s):
-    """Number of singular values above 1e-12 * sigma_1."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.size == 0 or s[0] == 0.0:
+    """Number of entries of ``s`` above 1e-12 times its largest magnitude.
+
+    For non-increasing singular values the threshold is 1e-12 * sigma_1; QR
+    R-diagonal entries and other unsorted, signed estimates go in as they are.
+    """
+    mags = np.abs(np.asarray(s, dtype=np.float64))
+    if mags.size == 0 or mags.max() == 0.0:
         return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    return int(np.count_nonzero(mags > RANK_RTOL * mags.max()))
 
 
 def fixed_rank_basis(a, mu):
@@ -153,12 +145,4 @@ def qr_basis_with_rank(a):
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r)
     q = q * np.where(diag < 0, -1.0, 1.0)
-    return q, qr_rank(diag)
-
-
-def qr_rank(rdiag):
-    """Rank decision from QR diagonal magnitudes, threshold 1e-12 * max."""
-    mags = np.abs(np.asarray(rdiag, dtype=np.float64))
-    if mags.size == 0 or mags.max() == 0.0:
-        return 0
-    return int(np.count_nonzero(mags > RANK_RTOL * mags.max()))
+    return q, numerical_rank(diag)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SparseTensor, sparse_unfold_times, mode_product, unfold
+from .core import SparseTensor, dims_of, mode_product, unfold
 
 
 class SketchWidthWarning(UserWarning):
@@ -213,10 +213,6 @@ def guarantee_gaps(plan, dims):
     return gaps
 
 
-def _current_dims(c):
-    return c.dims if isinstance(c, SparseTensor) else tuple(c.shape)
-
-
 def sketch_mode(c, n, plan, stream):
     """Structured sketch of ``c`` for mode ``n``: unfold(c x_m G_{n,m}, n).
 
@@ -227,7 +223,7 @@ def sketch_mode(c, n, plan, stream):
     G matrices (descending m). Sparse inputs are contracted without
     densifying; only the (small) sketched tensor is dense.
     """
-    dims = _current_dims(c)
+    dims = dims_of(c)
     n_modes = len(dims)
     others = [m for m in range(1, n_modes + 1) if m != n]
     ells = dict(zip(others, plan.sketch_dims[n]))
@@ -246,13 +242,14 @@ def sketch_full_gaussian(c, n, lprime, stream):
     A dense ``c`` is contracted on its own C or F strides, viewed as
     (pre, I_n, post) against Omega reordered to match; only Omega, which is
     small, is ever reordered (any other layout of ``c`` is copied once, as in
-    :func:`mode_product`).
+    :func:`mode_product`). A sparse ``c`` is multiplied through its CSR
+    unfolding and never densified.
     """
-    dims = _current_dims(c)
+    dims = dims_of(c)
     others = tuple(d for i, d in enumerate(dims) if i != n - 1)
     omega = gaussian_matrix(stream, math.prod(others), lprime)
     if isinstance(c, SparseTensor):
-        return sparse_unfold_times(c, n, omega)
+        return np.asarray(c.unfold_csr(n) @ omega)
     c = np.asarray(c, dtype=np.float64)
     # Omega's rows run over the other modes earliest fastest: C order over
     # them reversed, which is the mode order of c.T
@@ -279,7 +276,7 @@ def sketch_khatri_rao(c, n, lprime, stream):
     l-th column of every factor. Sparse inputs accumulate per-entry products
     and never densify.
     """
-    dims = _current_dims(c)
+    dims = dims_of(c)
     n_modes = len(dims)
     others = [m for m in range(1, n_modes + 1) if m != n]
     omegas = {m: gaussian_matrix(stream.fork(m), dims[m - 1], lprime) for m in others}

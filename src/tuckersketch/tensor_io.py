@@ -20,7 +20,9 @@ A decomposition archive is a directory holding ``core`` (dense format),
 per line) and ``metrics`` (``key=value`` lines).
 """
 
+import math
 import os
+from dataclasses import fields
 
 import numpy as np
 
@@ -61,14 +63,7 @@ def read_tensor(path):
             order = _int_field(header[1], "order", path)
             dims = _read_dims(fh, order, path)
             count = int(np.prod(dims, dtype=np.int64))
-            values = np.empty(count)
-            for i in range(count):
-                line = fh.readline()
-                if not line:
-                    raise ValueError(f"{path}: expected {count} values, found {i}")
-                values[i] = float(line)
-            _expect_eof(fh, path)
-            return values.reshape(dims, order="F")
+            return _read_values(fh, count, path).reshape(dims, order="F")
         if len(header) != 3:
             raise ValueError(f"{path}: sparse header needs order and nnz fields")
         order = _int_field(header[1], "order", path)
@@ -108,6 +103,18 @@ def _read_dims(fh, order, path):
     return dims
 
 
+def _read_values(fh, count, path):
+    """The next ``count`` lines of ``fh``, one float each, and then the end."""
+    values = np.empty(count)
+    for i in range(count):
+        line = fh.readline()
+        if not line:
+            raise ValueError(f"{path}: expected {count} values, found {i}")
+        values[i] = float(line)
+    _expect_eof(fh, path)
+    return values
+
+
 def _expect_eof(fh, path):
     if fh.readline().strip():
         raise ValueError(f"{path}: trailing content after the declared entries")
@@ -128,14 +135,7 @@ def read_matrix(path):
             raise ValueError(f"{path}: matrix header must be 'rows cols'")
         rows = _int_field(parts[0], "rows", path)
         cols = _int_field(parts[1], "cols", path)
-        values = np.empty(rows * cols)
-        for i in range(rows * cols):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: expected {rows * cols} values, found {i}")
-            values[i] = float(line)
-        _expect_eof(fh, path)
-        return values.reshape(rows, cols, order="C")
+        return _read_values(fh, rows * cols, path).reshape(rows, cols, order="C")
 
 
 def save_approx(approx, out_dir, metrics=None):
@@ -146,9 +146,8 @@ def save_approx(approx, out_dir, metrics=None):
         write_matrix(q, os.path.join(out_dir, f"factor_{n}"))
     if metrics is not None:
         with open(os.path.join(out_dir, "metrics"), "w") as fh:
-            fh.write(f"rlne={_fmt(metrics.rlne)}\n")
-            fh.write(f"fit={_fmt(metrics.fit)}\n")
-            fh.write(f"wall_time_s={_fmt(metrics.wall_time_s)}\n")
+            for f in fields(Metrics):
+                fh.write(f"{f.name}={_fmt(getattr(metrics, f.name))}\n")
 
 
 def load_approx(in_dir):
@@ -160,15 +159,11 @@ def load_approx(in_dir):
     metrics = None
     mpath = os.path.join(in_dir, "metrics")
     if os.path.exists(mpath):
-        fields = {}
+        found = {}
         with open(mpath) as fh:
             for line in fh:
                 if line.strip():
                     key, _, val = line.partition("=")
-                    fields[key.strip()] = float(val)
-        metrics = Metrics(
-            rlne=fields.get("rlne", float("nan")),
-            fit=fields.get("fit", float("nan")),
-            wall_time_s=fields.get("wall_time_s", float("nan")),
-        )
+                    found[key.strip()] = float(val)
+        metrics = Metrics(**{f.name: found.get(f.name, math.nan) for f in fields(Metrics)})
     return TuckerApprox(core, factors), metrics

@@ -4,9 +4,10 @@ All algorithms return a :class:`TuckerApprox` whose core is the source tensor
 projected onto the orthonormal factor bases, so the reconstruction error obeys
 ``||a - recon||^2 = ||a||^2 - ||core||^2`` up to roundoff.
 
-Every non-iterative algorithm runs the one per-mode loop :func:`_tucker`
-with its own basis builder. A full-rank mode gets a ``None`` factor there,
-which :func:`_project` skips; only the result holds a fresh identity for it.
+All six algorithms run the one per-mode loop :func:`_tucker`, each with its
+own basis function; :func:`hooi` runs it once per sweep. A full-rank mode
+gets a ``None`` factor there, which :func:`_project` skips; only the result
+holds a fresh identity for it.
 
 :func:`rlne` never forms the reconstruction: it streams the residual in
 slabs of about 2 MiB along the slowest axis in memory, reading the input
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .core import SparseTensor, frob_norm, mode_product, unfold
+from .core import SparseTensor, dims_of, frob_norm, mode_product, unfold
 from .sketch import (
     GaussianStream,
     default_plan,
@@ -40,10 +41,6 @@ _SLAB = 1 << 18
 
 class RankTooLargeError(ValueError):
     """Requested multilinear rank exceeds a tensor dimension."""
-
-
-def _dims_of(a):
-    return a.dims if isinstance(a, SparseTensor) else tuple(np.asarray(a).shape)
 
 
 @dataclass
@@ -115,17 +112,17 @@ class Metrics:
     wall_time_s: float
 
 
-def _project(a, factors, skip=None):
-    """``a x_m Q_m^T`` over all modes (except ``skip``), densified output.
+def _project(a, factors):
+    """``a x_m Q_m^T`` over all modes, densified output.
 
     Contracts in decreasing shrink ratio, ties by ascending mode; a ``None``
-    factor marks a skipped full-rank mode and is not contracted.
+    factor marks a mode that is not contracted.
     """
-    dims = _dims_of(a)
+    dims = dims_of(a)
     jobs = [
         (dims[m - 1] / q.shape[1], m, q)
         for m, q in enumerate(factors, start=1)
-        if q is not None and m != skip
+        if q is not None
     ]
     out = a
     for _, m, q in sorted(jobs, key=lambda j: (-j[0], j[1])):
@@ -156,7 +153,7 @@ def rlne(a, approx):
     slab instead of being densified. Raises ``ValueError`` when the dims of
     ``a`` and ``approx`` differ.
     """
-    dims = _dims_of(a)
+    dims = dims_of(a)
     if dims != approx.dims:
         raise ValueError(f"tensor dims {dims} do not match approximation dims {approx.dims}")
     core, factors = approx.core, approx.factors
@@ -240,7 +237,7 @@ def _tucker(a, target_rank, basis, order=None, sequential=True):
     (default 1..N), so ``c`` ends as the core; otherwise the core is one
     projection of ``a`` at the end.
     """
-    dims = _dims_of(a)
+    dims = dims_of(a)
     target_rank = tuple(int(r) for r in target_rank)
     _validate_rank(dims, target_rank)
     c = a
@@ -258,11 +255,9 @@ def _tucker(a, target_rank, basis, order=None, sequential=True):
             c = mode_product(c, n, q.T)
     if not sequential:
         c = _project(a, factors)
-    if isinstance(c, SparseTensor):
-        c = c.densify()
-    elif c is a:
+    if c is a:
         # every mode was full rank: the core must not alias the input
-        c = np.array(a, dtype=np.float64)
+        c = a.densify() if isinstance(a, SparseTensor) else np.array(a, dtype=np.float64)
     factors = [np.eye(d) if q is None else q for d, q in zip(dims, factors)]
     return TuckerApprox(c, factors, rank_warnings=tuple(sorted(warned)))
 
@@ -301,16 +296,24 @@ def _qr_basis(sketcher, target_rank, lprime, oversampling, seed):
 
 
 def _exact_basis(a, n, mu):
-    """Leading mu left singular vectors of the exact mode-n unfolding."""
+    """Leading mu left singular vectors of the exact mode-n unfolding.
+
+    A sparse unfolding X takes them from the eigenvectors U of X X^T, and
+    the singular values for the rank decision from the column norms of
+    X^T U, where null directions come out near eps * sigma_1 (the Gram
+    eigenvalues' roundoff would give sqrt(eps) * sigma_1), so the
+    1e-12 * sigma_1 rule of every other basis applies. That settles
+    exact-rank inputs; a spectrum that decays smoothly below
+    sqrt(eps) * sigma_1 still mixes the trailing eigenvectors.
+    """
     if isinstance(a, SparseTensor):
         x = a.unfold_csr(n)
         evals, evecs = np.linalg.eigh(linalg.check_finite((x @ x.T).toarray()))
-        order = np.argsort(evals)[::-1]
-        sig, u = np.sqrt(np.clip(evals[order], 0.0, None)), evecs[:, order]
+        u = evecs[:, np.argsort(evals)[::-1][:mu]]
         u = u * linalg.column_sign_flips(u)
-    else:
-        u, sig = linalg.left_singular(unfold(a, n), mu)
-    return u[:, :mu], linalg.numerical_rank(sig)
+        return u, linalg.numerical_rank(np.linalg.norm(x.T @ u, axis=0))
+    u, sig = linalg.left_singular(unfold(a, n), mu)
+    return u, linalg.numerical_rank(sig)
 
 
 def tucker_svd_batch(a, plan):
@@ -364,7 +367,8 @@ def truncated_hosvd(a, target_rank):
     sparse inputs use the eigendecomposition of the (small) Gram matrix of the
     unfolding, which never densifies the tensor. A rank above the product of
     the other dims is met with an orthonormal completion and listed in
-    ``rank_warnings``.
+    ``rank_warnings``; both kinds of input take the same 1e-12 * sigma_1
+    rank rule (see :func:`_exact_basis`).
     """
     return _tucker(a, target_rank, _exact_basis, sequential=False)
 
@@ -372,52 +376,55 @@ def truncated_hosvd(a, target_rank):
 def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     """Alternating least squares refinement of the factor subspaces.
 
-    Each sweep updates every mode with the leading left singular vectors of
-    the all-but-one projected unfolding, taken by :func:`linalg.left_singular`
-    without right singular vectors; stops when the fit
-    (1 - relative error) improves by less than ``tol`` or after ``max_iters``
-    sweeps. ``init`` is ``"random"`` (orthonormalized Gaussian factors drawn
-    from (seed, mode) streams) or ``"hosvd"``.
+    Each sweep is one sequential :func:`_tucker` pass (Gauss-Seidel): the
+    basis of mode n contracts the working tensor, which this sweep's new
+    factors of modes < n have already shrunk, with the previous factors of
+    modes > n, and takes the leading left singular vectors of its mode-n
+    unfolding by :func:`linalg.left_singular`, without right singular
+    vectors. The loop's last shrink leaves the core, so the fit
+    (1 - relative error) comes from its norm, and a sweep reads the full
+    tensor twice rather than once per mode. Sweeps stop when the fit
+    improves by less than ``tol`` or after ``max_iters`` (at least 1).
+    ``init`` is ``"random"`` (orthonormalized Gaussian factors drawn from
+    (seed, mode) streams) or ``"hosvd"``. A mode at full rank is never
+    refined and keeps an identity factor, as in every other algorithm;
+    ``rank_warnings`` are those of the last sweep.
     """
-    dims = _dims_of(a)
+    dims = dims_of(a)
     target_rank = tuple(int(r) for r in target_rank)
     _validate_rank(dims, target_rank)
-    n_modes = len(dims)
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if init == "hosvd":
         factors = truncated_hosvd(a, target_rank).factors
     elif init == "random":
-        factors = []
-        for n in range(1, n_modes + 1):
-            g = gaussian_matrix(GaussianStream(seed, n), dims[n - 1], target_rank[n - 1])
-            factors.append(linalg.qr_basis_with_rank(g)[0])
+        factors = [
+            linalg.qr_basis_with_rank(gaussian_matrix(GaussianStream(seed, n), d, mu))[0]
+            for n, (d, mu) in enumerate(zip(dims, target_rank), start=1)
+        ]
     else:
         raise ValueError(f"init must be 'random' or 'hosvd', got {init!r}")
+    # _tucker skips full-rank modes, so their factors are never contracted
+    factors = [None if mu == d else q for q, d, mu in zip(factors, dims, target_rank)]
+
+    def basis(c, n, mu):
+        w = _project(c, [None] * n + factors[n:])
+        factors[n - 1], sig = linalg.left_singular(unfold(w, n), mu)
+        return factors[n - 1], linalg.numerical_rank(sig)
+
     norm_a = frob_norm(a)
     fit_prev = -math.inf
     history = []
-    core = None
-    warned = set()
     for _ in range(max_iters):
-        w = None
-        for n in range(1, n_modes + 1):
-            w = _project(a, factors, skip=n)
-            mu = target_rank[n - 1]
-            factors[n - 1], sig = linalg.left_singular(unfold(w, n), mu)
-            if linalg.numerical_rank(sig) < mu:
-                warned.add(n)
-        core = mode_product(w, n_modes, factors[n_modes - 1].T)
-        if norm_a == 0.0:
-            fit = 1.0
-        else:
-            err2 = max(norm_a**2 - frob_norm(core) ** 2, 0.0)
-            fit = 1.0 - math.sqrt(err2) / norm_a
+        approx = _tucker(a, target_rank, basis)
+        err2 = max(norm_a**2 - frob_norm(approx.core) ** 2, 0.0)
+        fit = 1.0 - math.sqrt(err2) / norm_a if norm_a else 1.0
         history.append(fit)
         if fit - fit_prev < tol:
             break
         fit_prev = fit
-    return TuckerApprox(
-        core, factors, rank_warnings=tuple(sorted(warned)), fit_history=tuple(history)
-    )
+    approx.fit_history = tuple(history)
+    return approx
 
 
 ALGORITHMS = (
@@ -448,10 +455,10 @@ def decompose(
             f"unknown algorithm {algorithm!r}; valid names: {', '.join(ALGORITHMS)}"
         )
     target_rank = tuple(int(r) for r in target_rank)
-    _validate_rank(_dims_of(a), target_rank)
+    _validate_rank(dims_of(a), target_rank)
     if algorithm in ("tucker_svd_seq", "tucker_svd_batch"):
         if plan is None:
-            plan = default_plan(_dims_of(a), target_rank, oversampling, seed)
+            plan = default_plan(dims_of(a), target_rank, oversampling, seed)
         fn = tucker_svd_seq if algorithm == "tucker_svd_seq" else tucker_svd_batch
         return fn(a, plan)
     if algorithm == "hooi":

@@ -120,6 +120,14 @@ def test_order_1_tensor_decomposes_or_exits_2(tmp_path, capsys, alg):
         assert float(capsys.readouterr().out.split()[0].split("=")[1]) <= 1e-12
 
 
+def test_exit_code_2_on_hooi_without_sweeps(tmp_path, capsys):
+    p = tmp_path / "t.txt"
+    ts.write_tensor(ts.gen_reciprocal_sum((5, 6, 7)), p)
+    code = run(["decompose", str(p), "--algorithm", "hooi", "--rank", "2", "--max-iters", "0"])
+    assert code == 2
+    assert "max_iters" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
     assert run(["decompose", str(tmp_path / "nope.txt"), "--algorithm", "hooi",
                 "--rank", "2"]) == 2

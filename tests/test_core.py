@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuckersketch import core
+from tuckersketch import core, sketch
 
 
 def cube222():
@@ -90,8 +90,8 @@ def test_frob_norm_value():
 
 
 def test_kron_oracle():
-    # the (i_a, i_b) block layout, b-index fastest, that khatri_rao and the
-    # sketch chains are written against
+    # the (i_a, i_b) block layout, b-index fastest, that the Khatri-Rao
+    # references and the sketch chains are written against
     p = np.array([[1.0, 2.0], [3.0, 4.0]])
     q = np.array([[5.0, 6.0], [7.0, 8.0], [9.0, 10.0]])
     expected = [
@@ -103,34 +103,6 @@ def test_kron_oracle():
         [27.0, 30.0, 36.0, 40.0],
     ]
     np.testing.assert_array_equal(np.kron(p, q), expected)
-
-
-def test_khatri_rao_oracle():
-    p = np.array([[1.0, 2.0], [3.0, 4.0]])
-    q = np.array([[5.0, 6.0], [7.0, 8.0], [9.0, 10.0]])
-    expected = [
-        [5.0, 12.0],
-        [7.0, 16.0],
-        [9.0, 20.0],
-        [15.0, 24.0],
-        [21.0, 32.0],
-        [27.0, 40.0],
-    ]
-    np.testing.assert_array_equal(core.khatri_rao(p, q), expected)
-
-
-def test_khatri_rao_columns_are_kron_of_columns():
-    rng = np.random.default_rng(21)
-    a = rng.standard_normal((4, 3))
-    b = rng.standard_normal((5, 3))
-    kr = core.khatri_rao(a, b)
-    for j in range(3):
-        np.testing.assert_allclose(kr[:, j], np.kron(a[:, j], b[:, j]), atol=1e-14)
-
-
-def test_khatri_rao_rejects_column_mismatch():
-    with pytest.raises(ValueError):
-        core.khatri_rao(np.ones((2, 3)), np.ones((2, 4)))
 
 
 # ---- sparse kernels ----
@@ -171,14 +143,13 @@ def test_sparse_mode_product_matches_dense():
 
 
 def test_sparse_unfold_times_matches_dense():
+    # the sparse branch of sketch_full_gaussian is the CSR unfolding times Omega
     s = random_sparse((5, 4, 3), 20, seed=13)
     d = s.densify()
-    rng = np.random.default_rng(2)
     for n in range(1, 4):
-        m = rng.standard_normal((core.unfold(d, n).shape[1], 6))
-        np.testing.assert_allclose(
-            core.sparse_unfold_times(s, n, m), core.unfold(d, n) @ m, atol=1e-12
-        )
+        sparse_b = sketch.sketch_full_gaussian(s, n, 6, sketch.GaussianStream(2, n))
+        dense_b = sketch.sketch_full_gaussian(d, n, 6, sketch.GaussianStream(2, n))
+        np.testing.assert_allclose(sparse_b, dense_b, atol=1e-12)
 
 
 def test_sparse_frob_norm_matches_dense():

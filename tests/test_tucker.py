@@ -95,6 +95,47 @@ def test_hooi_rejects_unknown_init():
         ts.hooi(np.ones((3, 3, 3)), (1, 1, 1), init="zeros")
 
 
+def test_hooi_sweeps_match_the_textbook_sweeps():
+    # each mode takes the leading left singular vectors of a contracted with
+    # the newest factor of every other mode (Gauss-Seidel); shrinking the
+    # working tensor as the sweep goes must give the same subspaces, also
+    # with unequal shrink ratios and a full-rank mode
+    rng = np.random.default_rng(1)
+    a = ts.gen_reciprocal_sum((12, 10, 16)) + 1e-3 * rng.standard_normal((12, 10, 16))
+    rank = (4, 10, 5)
+    apx = ts.hooi(a, rank, max_iters=3, tol=-math.inf, seed=2)
+    factors = [
+        np.eye(d) if mu == d
+        else linalg.qr_basis_with_rank(ts.gaussian_matrix(ts.GaussianStream(2, n), d, mu))[0]
+        for n, (d, mu) in enumerate(zip(a.shape, rank), start=1)
+    ]
+    for _ in range(3):
+        for n in (1, 3):
+            w = a
+            for m, q in enumerate(factors, start=1):
+                if m != n:
+                    w = ts.mode_product(w, m, q.T)
+            factors[n - 1] = np.linalg.svd(ts.unfold(w, n))[0][:, : rank[n - 1]]
+    assert len(apx.fit_history) == 3
+    for q, q_ref in zip(apx.factors, factors):
+        np.testing.assert_allclose(q @ q.T, q_ref @ q_ref.T, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_hooi_needs_at_least_one_sweep(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        ts.hooi(ts.gen_reciprocal_sum((5, 6, 7)), (2, 2, 2), max_iters=max_iters)
+
+
+def test_sparse_hosvd_takes_the_dense_rank_rule():
+    # rank 1: the Gram eigenvalues' roundoff gives sigma_2 / sigma_1 near
+    # 1e-8 after the square root, which must not pass for rank
+    rng = np.random.default_rng(5)
+    dense = np.einsum("i,j,k->ijk", *(rng.standard_normal(d) for d in (8, 9, 10)))
+    for a in (dense, sparse_copy(dense)):
+        assert ts.truncated_hosvd(a, (3, 3, 3)).rank_warnings == (1, 2, 3)
+
+
 def test_processing_order_insensitivity():
     # the sequential algorithm may process modes in any order; on a smooth
     # tensor the resulting errors stay within a small factor of each other
@@ -155,10 +196,7 @@ def test_order_1_tensors(alg, sparse):
     for rank in (1, 3):
         apx = ts.decompose(a, alg, (rank,), seed=0)
         assert apx.core.shape == (rank,)
-        if not (sparse and alg == "truncated_hosvd"):
-            # the sparse HOSVD takes its rank from Gram eigenvalues, whose
-            # roundoff (~1e-8 sigma_1 after the square root) passes for rank
-            assert apx.rank_warnings == (() if rank == 1 else (1,))
+        assert apx.rank_warnings == (() if rank == 1 else (1,))
         assert ts.rlne(a, apx) <= 1e-12
 
 
@@ -383,12 +421,9 @@ def test_streamed_rlne_matches_the_dense_residual(case):
 
 def test_identity_factor_is_not_shared_writable():
     # a skipped full-rank mode's identity factor belongs to its result:
-    # writing to it must not reach other results, earlier or later (hooi
-    # refines every mode, so its full-rank factor is an SVD basis, not eye)
+    # writing to it must not reach other results, earlier or later
     a = ts.gen_reciprocal_sum((5, 5, 5, 16))
     for alg in tucker.ALGORITHMS:
-        if alg == "hooi":
-            continue
         apx = ts.decompose(a, alg, (2, 2, 2, 16), seed=0)
         other = ts.decompose(a, alg, (2, 2, 2, 16), seed=0)
         apx.factors[3][0, 0] = 2.0
@@ -476,7 +511,7 @@ def test_every_algorithm_agrees_across_dense_c_dense_f_and_sparse(case):
                 continue
             # rlne is a residual norm over ||a||, so it carries an absolute
             # roundoff of a few eps; that floor decides only when nothing
-            # was truncated (hooi rotates full-rank modes, so it is not 0)
+            # was truncated
             assert abs(err - ref_err) <= 1e-10 * ref_err + 1e-13, (alg, kind)
             for q, q_ref in zip(apx.factors, ref.factors):
                 np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-9, err_msg=alg)
