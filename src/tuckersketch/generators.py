@@ -16,19 +16,29 @@ from .sketch import GaussianStream, gaussian_matrix, philox_rng
 
 
 def gen_reciprocal_sum(dims):
-    """Smooth dense tensor a[i_1..i_N] = 1 / (i_1 + ... + i_N)."""
+    """Smooth dense tensor a[i_1..i_N] = 1 / (i_1 + ... + i_N).
+
+    Built in place in one float64 array (the integer sums are exact), so the
+    peak memory is the output itself.
+    """
     dims = tuple(int(d) for d in dims)
-    grids = np.ogrid[tuple(slice(1, d + 1) for d in dims)]
-    return 1.0 / sum(grids).astype(np.float64)
+    out = np.zeros(dims)
+    for grid in np.ogrid[tuple(slice(1, d + 1) for d in dims)]:
+        out += grid
+    return np.reciprocal(out, out=out)
 
 
 def gen_log_reciprocal(dims):
-    """Smooth dense order-3 tensor b[ijk] = 1 / ln(i + 2j + 3k)."""
+    """Smooth dense order-3 tensor b[ijk] = 1 / ln(i + 2j + 3k), built in place."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3:
         raise ValueError(f"this family is order 3, got order {len(dims)}")
     i, j, k = np.ogrid[1 : dims[0] + 1, 1 : dims[1] + 1, 1 : dims[2] + 1]
-    return 1.0 / np.log((i + 2 * j + 3 * k).astype(np.float64))
+    out = np.zeros(dims)
+    for grid in (i, 2 * j, 3 * k):
+        out += grid
+    np.log(out, out=out)
+    return np.reciprocal(out, out=out)
 
 
 def sparse_outer_sum(dims, terms):

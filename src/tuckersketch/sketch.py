@@ -15,6 +15,16 @@ request. Matrices are filled row-major. Stream ids are derived as
 ``256 * target_mode + source_mode`` via :meth:`GaussianStream.fork`, which is
 why the batch and sequential decompositions draw identical sketch matrices
 for a given (seed, mode pair) whenever the shapes agree.
+
+Contraction order
+-----------------
+:func:`sketch_mode` contracts the other modes in decreasing shrink ratio.
+:func:`batch_sketches` takes every mode's sketch of one tensor. For a dense
+tensor whose outermost mode in memory, p, is longer than the sum of the
+other modes' widths L_{n,p}, it contracts mode p once for all of them (their
+G_{n,p} stacked into one GEMM) and finishes each chain with
+:func:`sketch_mode` from that mode's block. The draws are the same, so the
+sketches agree up to roundoff.
 """
 
 import math
@@ -213,7 +223,7 @@ def guarantee_gaps(plan, dims):
     return gaps
 
 
-def sketch_mode(c, n, plan, stream):
+def sketch_mode(c, n, plan, stream, done=None):
     """Structured sketch of ``c`` for mode ``n``: unfold(c x_m G_{n,m}, n).
 
     Each G_{n,m} is L_{n,m} x (current size of mode m), drawn i.i.d. standard
@@ -221,18 +231,54 @@ def sketch_mode(c, n, plan, stream):
     ratio (size / L), ties by ascending mode, a pure function of the shapes.
     The result equals unfold(c, n) times the transposed Kronecker chain of the
     G matrices (descending m). Sparse inputs are contracted without
-    densifying; only the (small) sketched tensor is dense.
+    densifying; only the (small) sketched tensor is dense. ``done`` names a
+    mode of ``c`` already contracted with its G_{n,done}, as in the shared
+    pass of :func:`batch_sketches`; the other modes follow the same order.
     """
     dims = dims_of(c)
-    n_modes = len(dims)
-    others = [m for m in range(1, n_modes + 1) if m != n]
+    others = [m for m in range(1, len(dims) + 1) if m != n]
     ells = dict(zip(others, plan.sketch_dims[n]))
-    mats = {m: gaussian_matrix(stream.fork(m), ells[m], dims[m - 1]) for m in others}
-    order = sorted(others, key=lambda m: (-dims[m - 1] / ells[m], m))
+    rest = [m for m in others if m != done]
+    mats = {m: gaussian_matrix(stream.fork(m), ells[m], dims[m - 1]) for m in rest}
     out = c
-    for m in order:
+    for m in sorted(rest, key=lambda m: (-dims[m - 1] / ells[m], m)):
         out = mode_product(out, m, mats[m])
     return unfold(out, n)
+
+
+def batch_sketches(a, plan):
+    """{n: :func:`sketch_mode` of ``a`` for mode n} over the modes with mu_n < I_n.
+
+    A dense ``a`` shares one pass. Its outermost mode in memory, p, is mode N
+    for an F-ordered ``a`` and mode 1 otherwise, since :func:`mode_product`
+    copies any other layout to C order. If the widths L_{n,p} of the other
+    modes sum to less than I_p, their G_{n,p} are stacked row-wise, mode p is
+    contracted once with the stack, and each chain continues from its row
+    block, a contiguous slab. Otherwise the stacked product would be larger
+    than ``a``, and every mode is sketched on its own, as is a sparse ``a``,
+    whose first product is dense and the largest array of the run.
+    """
+    dims = dims_of(a)
+    modes = [n for n, (mu, d) in enumerate(zip(plan.target_rank, dims), start=1) if mu < d]
+    streams = {n: GaussianStream(plan.seed, n) for n in modes}
+    shared, ells = [], []
+    if not isinstance(a, SparseTensor):
+        a = np.asarray(a)
+        p = a.ndim if a.flags.f_contiguous and not a.flags.c_contiguous else 1
+        shared = [n for n in modes if n != p]
+        # sketch_dims[n] lists L_{n,m} over m != n, so mode p sits at p - 1 or p - 2
+        ells = [plan.sketch_dims[n][p - 1 if p < n else p - 2] for n in shared]
+        if sum(ells) >= dims[p - 1]:
+            shared = []
+    out = {n: sketch_mode(a, n, plan, streams[n]) for n in modes if n not in shared}
+    if shared:
+        gs = [
+            gaussian_matrix(streams[n].fork(p), ell, dims[p - 1]) for n, ell in zip(shared, ells)
+        ]
+        lead = mode_product(a, p, np.vstack(gs))
+        for n, block in zip(shared, np.split(lead, np.cumsum(ells)[:-1], axis=p - 1)):
+            out[n] = sketch_mode(block, n, plan, streams[n], done=p)
+    return out
 
 
 def sketch_full_gaussian(c, n, lprime, stream):

@@ -27,6 +27,7 @@ from . import linalg
 from .core import SparseTensor, dims_of, frob_norm, mode_product, unfold
 from .sketch import (
     GaussianStream,
+    batch_sketches,
     default_plan,
     gaussian_matrix,
     sketch_full_gaussian,
@@ -266,12 +267,15 @@ def _sketch_basis(plan):
     """Structured-sketch basis: rank-mu SVD of the mode's Kronecker sketch."""
 
     def basis(c, n, mu):
-        b = sketch_mode(c, n, plan, GaussianStream(plan.seed, n))
-        q, s = linalg.fixed_rank_basis(b, mu)
-        # row norms of s are exactly the leading singular values
-        return q, linalg.numerical_rank(np.linalg.norm(s, axis=1))
+        return _basis_of_sketch(sketch_mode(c, n, plan, GaussianStream(plan.seed, n)), mu)
 
     return basis
+
+
+def _basis_of_sketch(b, mu):
+    q, s = linalg.fixed_rank_basis(b, mu)
+    # row norms of s are exactly the leading singular values
+    return q, linalg.numerical_rank(np.linalg.norm(s, axis=1))
 
 
 def _qr_basis(sketcher, target_rank, lprime, oversampling, seed):
@@ -322,8 +326,26 @@ def tucker_svd_batch(a, plan):
     For each mode independently, compress all other modes of ``a`` with
     Gaussian matrices, take the rank-mu_n SVD basis of the mode-n unfolding of
     the sketch, then project ``a`` onto all the bases at once for the core.
+
+    The sketches come from :func:`~tuckersketch.sketch.batch_sketches`. A
+    dense ``a`` whose outermost mode in memory p (mode N for F order, else
+    mode 1) is longer than the sum of the other modes' widths L_{n,p} is read
+    three times rather than N+1: mode p is contracted once for every other
+    mode that needs a basis, with their G_{n,p} stacked into one GEMM, and
+    each of those sketches continues from its row block of the product in the
+    decreasing-shrink-ratio order of :func:`sketch_mode`. Mode p's own sketch
+    and the final projection are the other two reads. The draws are those of
+    :func:`sketch_mode`; only the contraction order differs, so the sketches
+    agree with it up to roundoff. Any other ``a``, sparse ones included,
+    sketches each mode separately.
     """
-    return _tucker(a, plan.target_rank, _sketch_basis(plan), sequential=False)
+    _validate_rank(dims_of(a), plan.target_rank)
+    sketches = batch_sketches(a, plan)
+
+    def basis(c, n, mu):
+        return _basis_of_sketch(sketches.pop(n), mu)
+
+    return _tucker(a, plan.target_rank, basis, sequential=False)
 
 
 def tucker_svd_seq(a, plan):
@@ -400,6 +422,8 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     elif init == "random":
         factors = [
             linalg.qr_basis_with_rank(gaussian_matrix(GaussianStream(seed, n), d, mu))[0]
+            if mu < d
+            else None
             for n, (d, mu) in enumerate(zip(dims, target_rank), start=1)
         ]
     else:

@@ -17,17 +17,20 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 FINGERPRINTS = """
 import hashlib, json, warnings
+import numpy as np
 import tuckersketch as ts
 warnings.simplefilter("ignore")
 out = {}
-for dims in [(40, 40, 40), (12, 12, 12, 12, 12), (120, 120, 120)]:
-    a = ts.gen_reciprocal_sum(dims)
+# the F-ordered copy runs dense batch's shared contraction on mode N
+for dims, order in [((40, 40, 40), "C"), ((40, 40, 40), "F"), ((12, 12, 12, 12, 12), "C"),
+                    ((120, 120, 120), "C")]:
+    a = np.asarray(ts.gen_reciprocal_sum(dims), order=order)
     for alg in ts.ALGORITHMS:
         apx = ts.decompose(a, alg, (5,) * len(dims), seed=3)
         h = hashlib.sha256(apx.core.tobytes())
         for q in apx.factors:
             h.update(q.tobytes())
-        out[f"{alg} {dims}"] = h.hexdigest()
+        out[f"{alg} {dims} {order}"] = h.hexdigest()
 print(json.dumps(out))
 """
 
@@ -50,4 +53,4 @@ def test_results_do_not_depend_on_the_blas_thread_count():
     # differently in its threaded updates (the only cell that differs)
     differ = sorted(k for k in one if one[k] != two[k] and not k.startswith("truncated_hosvd"))
     assert differ == []
-    assert len(one) == 3 * len(ts.ALGORITHMS)
+    assert len(one) == 4 * len(ts.ALGORITHMS)

@@ -6,6 +6,7 @@ four nonzeros and their values are frozen.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,29 @@ def test_log_reciprocal_entries():
     assert np.all(np.diff(b, axis=2) <= 0)
     assert np.all(b > 0)
     assert b.max() == b[0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "gen, dims, oracle",
+    [
+        (ts.gen_reciprocal_sum, (80, 60, 50), lambda i: 1.0 / (i[0] + i[1] + i[2])),
+        (ts.gen_reciprocal_sum, (24, 20, 18, 16), lambda i: 1.0 / (i[0] + i[1] + i[2] + i[3])),
+        (ts.gen_log_reciprocal, (80, 60, 50), lambda i: 1.0 / np.log(i[0] + 2 * i[1] + 3 * i[2])),
+    ],
+)
+def test_dense_generators_build_in_place(gen, dims, oracle):
+    # oracle: float64 1-based index grids, every entry computed on its own.
+    # Over 1 MB of output, so numpy's fixed casting buffers stay under 10%
+    idx = (np.indices(dims) + 1).astype(np.float64)
+    tracemalloc.start()
+    try:
+        a = gen(dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.dtype == np.float64 and a.flags.c_contiguous
+    assert np.array_equal(a, oracle(idx))
+    assert peak <= 1.1 * a.nbytes
 
 
 def test_log_reciprocal_rejects_other_orders():

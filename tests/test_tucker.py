@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuckersketch as ts
-from tuckersketch import linalg, tucker
-from tuckersketch.sketch import SketchPlan, SketchWidthWarning, default_plan
+from tuckersketch import linalg, sketch, tucker
+from tuckersketch.sketch import SketchPlan, SketchWidthWarning, default_plan, sketch_mode
 
 from test_core import tensor_in_layout
 
@@ -119,6 +119,18 @@ def test_hooi_sweeps_match_the_textbook_sweeps():
     assert len(apx.fit_history) == 3
     for q, q_ref in zip(apx.factors, factors):
         np.testing.assert_allclose(q @ q.T, q_ref @ q_ref.T, rtol=0, atol=1e-9)
+
+
+def test_hooi_random_init_draws_nothing_for_a_full_rank_mode(monkeypatch):
+    shapes = []
+
+    def spy(stream, rows, cols):
+        shapes.append((rows, cols))
+        return ts.gaussian_matrix(stream, rows, cols)
+
+    monkeypatch.setattr(tucker, "gaussian_matrix", spy)
+    ts.hooi(ts.gen_reciprocal_sum((12, 10, 16)), (4, 10, 5), max_iters=2, seed=2)
+    assert shapes == [(12, 4), (16, 5)]
 
 
 @pytest.mark.parametrize("max_iters", [0, -1])
@@ -515,3 +527,105 @@ def test_every_algorithm_agrees_across_dense_c_dense_f_and_sparse(case):
             assert abs(err - ref_err) <= 1e-10 * ref_err + 1e-13, (alg, kind)
             for q, q_ref in zip(apx.factors, ref.factors):
                 np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-9, err_msg=alg)
+
+
+# (dims, rank): orders 2-5, a full-rank mode at the shared mode of C order
+# (1), of F order (N), and elsewhere, and an outermost mode too short to share
+# in C order (its widths sum to 6 > 3)
+SHARED_PASS_CASES = [
+    ((9, 8), (2, 3)),
+    ((8, 7, 6), (2, 3, 2)),
+    ((7, 5, 4, 7), (2, 2, 3, 2)),
+    ((9, 5, 3, 4, 9), (2, 2, 2, 2, 2)),
+    ((8, 7, 6), (8, 3, 2)),
+    ((8, 7, 6), (2, 3, 6)),
+    ((6, 5, 4, 5), (2, 5, 3, 2)),
+    ((3, 8, 8), (2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "slice", "moveaxis"])
+@pytest.mark.parametrize("dims, rank", SHARED_PASS_CASES)
+def test_batch_sketches_equal_the_per_mode_sketches(monkeypatch, dims, rank, layout):
+    # the shared first contraction only reorders each mode's chain
+    a = tensor_in_layout(dims, layout, np.random.default_rng(len(dims)))
+    plan = default_plan(dims, rank, oversampling=3, seed=6)
+    sketches = []
+
+    def spy(b, mu):
+        sketches.append(b)
+        return fixed_rank_basis(b, mu)
+
+    fixed_rank_basis = linalg.fixed_rank_basis
+    monkeypatch.setattr(linalg, "fixed_rank_basis", spy)
+    ts.tucker_svd_batch(a, plan)
+    modes = [n for n, (d, mu) in enumerate(zip(dims, rank), start=1) if mu < d]
+    assert len(sketches) == len(modes)
+    for n, b in zip(modes, sketches):
+        ref = sketch_mode(a, n, plan, ts.GaussianStream(plan.seed, n))
+        np.testing.assert_allclose(b, ref, rtol=0, atol=1e-12 * np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize(
+    "dims, layout, reads",
+    [
+        ((12, 7, 12), "C", 3),
+        ((12, 7, 12), "F", 3),
+        ((12, 7, 12), "slice", 3),
+        ((10, 5, 4, 10), "C", 3),
+        ((10, 5, 4, 10), "F", 3),
+        ((9, 4, 3, 4, 9), "C", 3),
+        ((9, 4, 3, 4, 9), "F", 3),
+        # the widths at the outermost mode sum to 8 (C) and 6 (F): no sharing
+        ((8, 7, 6), "C", 4),
+        ((8, 7, 6), "F", 4),
+        ((3, 12, 12), "C", 4),
+        ((3, 12, 12), "F", 3),
+    ],
+)
+def test_dense_batch_reads_the_input_three_times_when_the_lead_shrinks(
+    monkeypatch, dims, layout, reads
+):
+    # shared: the stacked lead, the outermost mode's own sketch and the
+    # projection; otherwise one read per sketch and the projection
+    a = tensor_in_layout(dims, layout, np.random.default_rng(0))
+    seen = []
+
+    def spy(t, mode, b):
+        if t is a:
+            seen.append(mode)
+        return ts.mode_product(t, mode, b)
+
+    for module in (tucker, sketch):
+        monkeypatch.setattr(module, "mode_product", spy)
+    ts.decompose(a, "tucker_svd_batch", (2,) * len(dims), seed=1)
+    assert len(seen) == reads
+
+
+@pytest.mark.parametrize("rank", [(2, 3, 2, 2), (12, 3, 2, 5), (2, 5, 3, 12)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_batch_draws_each_sketch_matrix_once(monkeypatch, rank, order):
+    dims = (12, 5, 6, 12)
+    a = np.asarray(ts.gen_reciprocal_sum(dims), order=order)
+    ids = []
+
+    def spy(stream, rows, cols):
+        ids.append(stream.stream_id)
+        return ts.gaussian_matrix(stream, rows, cols)
+
+    for module in (tucker, sketch):
+        monkeypatch.setattr(module, "gaussian_matrix", spy)
+    ts.decompose(a, "tucker_svd_batch", rank, seed=1)
+    needed = [n for n, (d, mu) in enumerate(zip(dims, rank), start=1) if mu < d]
+    assert sorted(ids) == sorted(256 * n + m for n in needed for m in range(1, 5) if m != n)
+
+
+def test_sparse_batch_sketches_each_mode_from_the_input():
+    # sparse input keeps the per-mode loop, bit for bit
+    s = ts.gen_random_sparse((30, 25, 20), 400, seed=3)
+    plan = default_plan(s.dims, (4, 3, 5), oversampling=5, seed=2)
+    apx = ts.tucker_svd_batch(s, plan)
+    ref = tucker._tucker(s, plan.target_rank, tucker._sketch_basis(plan), sequential=False)
+    assert apx.core.tobytes() == ref.core.tobytes()
+    for q, q_ref in zip(apx.factors, ref.factors):
+        assert q.tobytes() == q_ref.tobytes()
