@@ -17,13 +17,17 @@ tensor means; the in-memory strides decide only what a contraction costs.
 :func:`mode_product` runs on C- and F-contiguous arrays in place (F order is
 what :func:`tuckersketch.tensor_io.read_tensor` returns) and copies any
 other layout once. Its results are always C- or F-contiguous, so a chain of
-products never copies the tensor.
+products never copies the tensor. :func:`contraction_order` picks the order
+of a chain of products, the same for every chain in the package.
+
+Sparse tensors are :class:`SparseTensor` coordinate lists. Only their
+contractions need scipy: :meth:`SparseTensor.unfold_csr` imports
+``scipy.sparse`` on its first call, so a run on dense tensors never loads it.
 """
 
 import math
 
 import numpy as np
-import scipy.sparse
 
 
 def _check_mode(mode, ndim):
@@ -104,6 +108,29 @@ def _mode_product_c(t, mode, b):
     return out.reshape(new_dims)
 
 
+def fortran_only(t):
+    """True for a dense array that is F- but not C-contiguous.
+
+    Its outermost mode in memory is mode N; for every other tensor, including
+    a :class:`SparseTensor`, it is mode 1 (:func:`mode_product` copies any
+    other dense layout to C order).
+    """
+    return isinstance(t, np.ndarray) and t.flags.f_contiguous and not t.flags.c_contiguous
+
+
+def contraction_order(t, ratios):
+    """Modes of ``t`` by decreasing shrink ratio; ``ratios`` maps mode -> ratio.
+
+    Ties go to the outermost mode in memory first: descending mode for an
+    array that is F- but not C-contiguous (what
+    :func:`tuckersketch.tensor_io.read_tensor` returns), ascending mode for
+    any other input, sparse ones included. A pure function of the shapes and
+    the layout.
+    """
+    tie = -1 if fortran_only(t) else 1
+    return sorted(ratios, key=lambda m: (-ratios[m], tie * m))
+
+
 def dims_of(t):
     """Dims of a dense array or a :class:`SparseTensor`, as a tuple."""
     return t.dims if isinstance(t, SparseTensor) else np.shape(t)
@@ -163,6 +190,10 @@ class SparseTensor:
 
     def unfold_csr(self, mode):
         """Mode-``mode`` unfolding as a scipy CSR matrix (same index map as unfold)."""
+        # every sparse contraction comes through here, so importing
+        # scipy.sparse on first use keeps it out of dense runs altogether
+        import scipy.sparse
+
         _check_mode(mode, self.ndim)
         rows = self.coords[:, mode - 1]
         other = [m for m in range(self.ndim) if m != mode - 1]

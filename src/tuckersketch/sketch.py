@@ -18,7 +18,10 @@ for a given (seed, mode pair) whenever the shapes agree.
 
 Contraction order
 -----------------
-:func:`sketch_mode` contracts the other modes in decreasing shrink ratio.
+:func:`sketch_mode` contracts the other modes in decreasing shrink ratio,
+ties to the outermost mode in memory first (descending mode for an F-ordered
+dense tensor, ascending otherwise; see
+:func:`tuckersketch.core.contraction_order`).
 :func:`batch_sketches` takes every mode's sketch of one tensor. For a dense
 tensor whose outermost mode in memory, p, is longer than the sum of the
 other modes' widths L_{n,p}, it contracts mode p once for all of them (their
@@ -33,7 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SparseTensor, dims_of, mode_product, unfold
+# every randomized algorithm draws from numpy.random, which numpy otherwise
+# imports lazily inside the first timed draw
+import numpy.random  # noqa: F401
+
+from .core import SparseTensor, contraction_order, dims_of, fortran_only, mode_product, unfold
 
 
 class SketchWidthWarning(UserWarning):
@@ -70,24 +77,33 @@ class GaussianStream:
     def normals(self, n):
         """Next ``n`` variates of the stream."""
         n = int(n)
-        out = np.empty(n)
-        filled = 0
-        if self._carry is not None and n > 0:
+        if n < 0:
+            raise ValueError(f"variate count must be >= 0, got {n}")
+        filled = 1 if self._carry is not None and n > 0 else 0
+        pairs = (n - filled + 1) // 2
+        # the uniforms are drawn into the output and transformed in place;
+        # an odd count leaves one spare slot, the next request's carry
+        out = np.empty(filled + 2 * pairs)
+        if filled:
             out[0] = self._carry
             self._carry = None
-            filled = 1
-        need = n - filled
-        if need > 0:
-            pairs = (need + 1) // 2
-            u = self._gen.random(2 * pairs)
-            r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-            theta = (2.0 * np.pi) * u[1::2]
-            z = np.empty(2 * pairs)
-            z[0::2] = r * np.cos(theta)
-            z[1::2] = r * np.sin(theta)
-            out[filled:] = z[:need]
-            if need < 2 * pairs:
-                self._carry = float(z[-1])
+        if pairs:
+            z = out[filled:]
+            self._gen.random(out=z)
+            r, theta = z[0::2], z[1::2]
+            np.negative(r, out=r)
+            np.log1p(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            theta *= 2.0 * np.pi
+            cos = np.cos(theta)
+            np.sin(theta, out=theta)
+            theta *= r
+            cos *= r
+            r[...] = cos
+        if out.size > n:
+            self._carry = float(out[-1])
+            out = out[:n]
         return out
 
 
@@ -228,7 +244,8 @@ def sketch_mode(c, n, plan, stream, done=None):
 
     Each G_{n,m} is L_{n,m} x (current size of mode m), drawn i.i.d. standard
     normal from ``stream.fork(m)``. Contractions run in decreasing shrink
-    ratio (size / L), ties by ascending mode, a pure function of the shapes.
+    ratio (size / L), ties to the outermost mode in memory first
+    (:func:`~tuckersketch.core.contraction_order`).
     The result equals unfold(c, n) times the transposed Kronecker chain of the
     G matrices (descending m). Sparse inputs are contracted without
     densifying; only the (small) sketched tensor is dense. ``done`` names a
@@ -241,7 +258,7 @@ def sketch_mode(c, n, plan, stream, done=None):
     rest = [m for m in others if m != done]
     mats = {m: gaussian_matrix(stream.fork(m), ells[m], dims[m - 1]) for m in rest}
     out = c
-    for m in sorted(rest, key=lambda m: (-dims[m - 1] / ells[m], m)):
+    for m in contraction_order(c, {m: dims[m - 1] / ells[m] for m in rest}):
         out = mode_product(out, m, mats[m])
     return unfold(out, n)
 
@@ -264,7 +281,7 @@ def batch_sketches(a, plan):
     shared, ells = [], []
     if not isinstance(a, SparseTensor):
         a = np.asarray(a)
-        p = a.ndim if a.flags.f_contiguous and not a.flags.c_contiguous else 1
+        p = a.ndim if fortran_only(a) else 1
         shared = [n for n in modes if n != p]
         # sketch_dims[n] lists L_{n,m} over m != n, so mode p sits at p - 1 or p - 2
         ells = [plan.sketch_dims[n][p - 1 if p < n else p - 2] for n in shared]

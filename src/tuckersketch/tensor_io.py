@@ -29,9 +29,22 @@ import numpy as np
 from .core import SparseTensor
 from .tucker import Metrics, TuckerApprox
 
+# values per write in ``_write_values``
+_BLOCK = 1 << 16
+
 
 def _fmt(x):
     return repr(float(x))
+
+
+def _write_values(fh, values):
+    """One value per line, as ``_fmt`` writes it (``tolist`` gives Python floats).
+
+    Blocks of ``_BLOCK`` values are joined into one write each, so the text
+    held in memory stays small for any tensor size.
+    """
+    for start in range(0, values.size, _BLOCK):
+        fh.write("\n".join(map(repr, values[start : start + _BLOCK].tolist())) + "\n")
 
 
 def write_tensor(t, path):
@@ -46,8 +59,7 @@ def write_tensor(t, path):
             t = np.asarray(t, dtype=np.float64)
             fh.write(f"dense {t.ndim}\n")
             fh.write(" ".join(str(d) for d in t.shape) + "\n")
-            for val in t.ravel(order="F"):
-                fh.write(_fmt(val) + "\n")
+            _write_values(fh, t.ravel(order="F"))
 
 
 def read_tensor(path):
@@ -124,8 +136,7 @@ def write_matrix(m, path):
     m = np.asarray(m, dtype=np.float64)
     with open(path, "w") as fh:
         fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for val in m.ravel(order="C"):
-            fh.write(_fmt(val) + "\n")
+        _write_values(fh, m.ravel(order="C"))
 
 
 def read_matrix(path):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .core import SparseTensor, dims_of, frob_norm, mode_product, unfold
+from .core import SparseTensor, contraction_order, dims_of, frob_norm, mode_product, unfold
 from .sketch import (
     GaussianStream,
     batch_sketches,
@@ -116,18 +116,16 @@ class Metrics:
 def _project(a, factors):
     """``a x_m Q_m^T`` over all modes, densified output.
 
-    Contracts in decreasing shrink ratio, ties by ascending mode; a ``None``
+    Contracts in :func:`~tuckersketch.core.contraction_order`; a ``None``
     factor marks a mode that is not contracted.
     """
     dims = dims_of(a)
-    jobs = [
-        (dims[m - 1] / q.shape[1], m, q)
-        for m, q in enumerate(factors, start=1)
-        if q is not None
-    ]
+    ratios = {
+        m: dims[m - 1] / q.shape[1] for m, q in enumerate(factors, start=1) if q is not None
+    }
     out = a
-    for _, m, q in sorted(jobs, key=lambda j: (-j[0], j[1])):
-        out = mode_product(out, m, q.T)
+    for m in contraction_order(a, ratios):
+        out = mode_product(out, m, factors[m - 1].T)
     if isinstance(out, SparseTensor):
         out = out.densify()
     return out

@@ -139,3 +139,18 @@ def test_load_approx_without_metrics(tmp_path):
 def test_format_helper_roundtrips_extremes():
     for x in (1e-300, -1e300, 0.1, 1 / 3, 2**-52):
         assert float(tensor_io._fmt(x)) == x
+
+
+def test_block_writer_matches_the_per_value_format(tmp_path, monkeypatch):
+    # the old writer: one fh.write(_fmt(value) + "\n") per value
+    values = [-0.0, 5e-324, 1e300, -1e300, 3.0, -7.0, 0.1, 1 / 3, np.nan, np.inf, -np.inf]
+    a = np.array(values * 6).reshape(2, 3, 11)
+    monkeypatch.setattr(tensor_io, "_BLOCK", 4)  # several blocks and a short last one
+    tensor_io.write_tensor(a, tmp_path / "t")
+    tensor_io.write_matrix(a.reshape(6, 11), tmp_path / "m")
+    lines = [tensor_io._fmt(x) for x in a.ravel(order="F")]
+    assert (tmp_path / "t").read_text() == "dense 3\n2 3 11\n" + "".join(x + "\n" for x in lines)
+    lines = [tensor_io._fmt(x) for x in a.reshape(6, 11).ravel(order="C")]
+    assert (tmp_path / "m").read_text() == "6 11\n" + "".join(x + "\n" for x in lines)
+    assert "-0.0\n5e-324\n1e+300\n" in (tmp_path / "m").read_text()
+    assert "nan\ninf\n-inf\n" in (tmp_path / "m").read_text()

@@ -6,6 +6,9 @@ the stream class existed. Everything downstream of the streams is checked
 against explicit Kronecker/Khatri-Rao matrix algebra.
 """
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +55,45 @@ def test_stream_split_into_any_chunks_matches_one_draw(seed, stream_id, chunks):
     np.testing.assert_array_equal(np.concatenate([np.empty(0)] + parts), whole[:-1])
     # and the stream continues where one draw would
     assert split.normals(1)[0] == whole[-1]
+
+
+# sha256 of GaussianStream(7, 1).normals(311041), taken when the transform
+# still built each of r, theta, cos, sin and the interleaved pairs as its own
+# array; an odd count, so the last pair's second variate is carried
+DRAW_7_1_SHA256 = "eabca23767ff1cedf78e3c5928ce1fe46840898229519f6353e0cd811f28e597"
+
+
+def test_in_place_draws_keep_the_stream_bits():
+    whole = sketch.GaussianStream(7, 1).normals(311041)
+    assert hashlib.sha256(whole.tobytes()).hexdigest() == DRAW_7_1_SHA256
+    # the split's second and third parts start on a carried variate
+    split = sketch.GaussianStream(7, 1)
+    h = hashlib.sha256()
+    for k in (100000, 111111, 99930):
+        h.update(split.normals(k).tobytes())
+    assert h.hexdigest() == DRAW_7_1_SHA256
+
+
+def test_negative_draw_count_is_rejected():
+    stream = sketch.GaussianStream(7, 1)
+    stream.normals(1)  # a carried variate must not turn -1 into a valid count
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="variate count"):
+            stream.normals(n)
+    np.testing.assert_array_equal(stream.normals(3), sketch.GaussianStream(7, 1).normals(4)[1:])
+
+
+def test_draws_are_transformed_in_place():
+    # the uniforms' buffer becomes the output, plus one half-size temporary
+    # for cos: 1.5x the output's bytes
+    stream = sketch.GaussianStream(7, 1)
+    tracemalloc.start()
+    try:
+        out = stream.normals(311041)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * out.nbytes
 
 
 def test_stream_odd_carry_exactness():

@@ -629,3 +629,24 @@ def test_sparse_batch_sketches_each_mode_from_the_input():
     assert apx.core.tobytes() == ref.core.tobytes()
     for q, q_ref in zip(apx.factors, ref.factors):
         assert q.tobytes() == q_ref.tobytes()
+
+
+@pytest.mark.parametrize("order, first", [("C", [1, 2, 3]), ("F", [3, 2, 1])])
+def test_tied_shrink_ratios_contract_the_outermost_mode_first(monkeypatch, order, first):
+    a = np.asarray(ts.gen_reciprocal_sum((8, 8, 8)), order=order)
+    seen = []
+
+    def spy(t, mode, b):
+        seen.append(mode)
+        return ts.mode_product(t, mode, b)
+
+    for module in (tucker, sketch):
+        monkeypatch.setattr(module, "mode_product", spy)
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 2)))[0]
+    tucker._project(a, [q, q, q])
+    assert seen == first
+    plan = SketchPlan((2, 2, 2), 0, {n: (2, 2) for n in (1, 2, 3)})
+    seen.clear()
+    for n in (1, 2, 3):
+        sketch_mode(a, n, plan, sketch.GaussianStream(0, n))
+    assert seen == [m for n in (1, 2, 3) for m in first if m != n]
