@@ -9,13 +9,8 @@ relative error, fit, and wall time of each.  Ends with a save/load round trip.
 
 import tempfile
 import time
-import warnings
 
 import tuckersketch as ts
-
-# default sketch widths trade the analyzed guarantee for speed and say so;
-# demo 02 looks at that warning, here it is just noise
-warnings.filterwarnings("ignore", category=ts.SketchWidthWarning)
 
 # the tensor: smooth, rapidly decaying spectrum, a friendly first target
 a = ts.gen_reciprocal_sum((60, 60, 60))

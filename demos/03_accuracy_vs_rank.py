@@ -10,15 +10,8 @@ Takes a few seconds; every number is reproducible from the seeds below.
 """
 
 import os
-import warnings
 
-import tuckersketch as ts
 from tuckersketch import bench
-
-# both warnings are expected here: default widths favor speed, and the smooth
-# tensors run out of numerical rank before P=20 (any basis completion is fine)
-warnings.filterwarnings("ignore", category=ts.SketchWidthWarning)
-warnings.filterwarnings("ignore", category=ts.RankDeficiencyWarning)
 
 config = bench.SuiteConfig(
     families=("reciprocal_sum", "log_reciprocal"),

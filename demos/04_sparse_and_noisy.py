@@ -13,14 +13,11 @@ Three short studies:
 """
 
 import time
-import warnings
 
 import numpy as np
 
 import tuckersketch as ts
 from tuckersketch import bench
-
-warnings.filterwarnings("ignore", category=ts.SketchWidthWarning)
 
 # --- 1. sparse input stays sparse -----------------------------------------
 sp = ts.gen_sparse_outer(200, seed=0)

@@ -13,15 +13,9 @@ input, so this is where a non-finite tensor is caught, without a separate pass
 over the tensor.
 """
 
-import warnings
-
 import numpy as np
 
 RANK_RTOL = 1e-12
-
-
-class RankDeficiencyWarning(UserWarning):
-    """Requested basis width exceeds the numerical rank of the input."""
 
 
 def svd(a):
@@ -118,9 +112,9 @@ def fixed_rank_basis(a, mu):
     approximation of ``a`` and ``||q @ s - a||_2 <= sigma_{mu+1}(a)``.
 
     If ``mu`` exceeds the numerical rank, the trailing columns of ``q`` are an
-    arbitrary orthonormal completion and a :class:`RankDeficiencyWarning` is
-    emitted. The row norms of ``s`` are exactly the leading singular values,
-    so callers can re-derive the rank decision from the returned data.
+    arbitrary orthonormal completion. The row norms of ``s`` are exactly the
+    leading singular values, so callers take the rank decision from the
+    returned data: ``numerical_rank(np.linalg.norm(s, axis=1))``.
     """
     a = np.asarray(a, dtype=np.float64)
     if not 1 <= mu <= min(a.shape):
@@ -128,12 +122,6 @@ def fixed_rank_basis(a, mu):
             f"basis width must be in 1..{min(a.shape)} for shape {a.shape}, got {mu}"
         )
     u, sig, vt = svd(a)
-    if numerical_rank(sig) < mu:
-        warnings.warn(
-            f"requested basis width {mu} exceeds numerical rank {numerical_rank(sig)}",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
     q = u[:, :mu]
     s = sig[:mu, None] * vt[:mu]
     return q, s

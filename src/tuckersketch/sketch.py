@@ -31,7 +31,6 @@ sketches agree up to roundoff.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +40,6 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .core import SparseTensor, contraction_order, dims_of, fortran_only, mode_product, unfold
-
-
-class SketchWidthWarning(UserWarning):
-    """Chosen sketch widths fall outside the probabilistic guarantee regime."""
 
 
 def philox_rng(seed, stream_id):
@@ -124,7 +119,7 @@ class SketchPlan:
 
     target_rank: tuple
     oversampling: int
-    sketch_dims: dict = field(compare=False)
+    sketch_dims: dict = field(hash=False)
     order: tuple = ()
     seed: int = 0
 
@@ -143,22 +138,27 @@ class SketchPlan:
         if sorted(self.order) != list(range(1, n_modes + 1)):
             raise ValueError(f"order {self.order} is not a permutation of modes 1..{n_modes}")
         object.__setattr__(self, "target_rank", tuple(int(r) for r in self.target_rank))
+        extra = [k for k in self.sketch_dims if k not in range(1, n_modes + 1)]
+        if extra:
+            raise ValueError(f"sketch dims given for modes {extra} outside 1..{n_modes}")
+        sketch_dims = {}
         for n in range(1, n_modes + 1):
             if n not in self.sketch_dims:
                 raise ValueError(f"sketch dims missing for mode {n}")
             ell = tuple(int(x) for x in self.sketch_dims[n])
             if len(ell) != n_modes - 1 or any(x < 1 for x in ell):
                 raise ValueError(f"sketch dims for mode {n} must be {n_modes - 1} positive ints")
-            self.sketch_dims[n] = ell
-            width = int(np.prod(ell))
+            sketch_dims[n] = ell
+            width = math.prod(ell)
             floor = self.target_rank[n - 1] + self.oversampling
             if width < floor:
                 raise ValueError(
                     f"sketch width {width} for mode {n} is below rank+oversampling={floor}"
                 )
+        object.__setattr__(self, "sketch_dims", sketch_dims)
 
     def width(self, n):
-        return int(np.prod(self.sketch_dims[n]))
+        return math.prod(self.sketch_dims[n])
 
 
 def default_plan(dims, target_rank, oversampling=10, seed=0):
@@ -169,10 +169,9 @@ def default_plan(dims, target_rank, oversampling=10, seed=0):
     M^(1/(N-1)); the last factor is bumped until the product reaches mu + K.
     The processing order visits modes by non-increasing dimension, ties by
     mode index. Raises ``ValueError`` for an order-1 tensor, which has no
-    other mode to sketch. Emits :class:`SketchWidthWarning` when the chosen
-    widths sit outside the regime where the sketch-accuracy guarantee applies
-    (most practical widths do; the warning marks the run as heuristic, not
-    wrong).
+    other mode to sketch. The widths usually sit outside the regime where
+    the sketch-accuracy guarantee applies, which marks the run as heuristic,
+    not wrong; :func:`guarantee_gaps` lists the modes and reasons.
     """
     dims = tuple(int(d) for d in dims)
     target_rank = tuple(int(r) for r in target_rank)
@@ -198,20 +197,11 @@ def default_plan(dims, target_rank, oversampling=10, seed=0):
             root = m_target ** (1.0 / (n_modes - 1))
             ell = [math.ceil(root)] * (n_modes - 1)
         ell = [max(1, x) for x in ell]
-        while np.prod(ell) < mu + k:
+        while math.prod(ell) < mu + k:
             ell[-1] += 1
         sketch_dims[n] = tuple(ell)
     order = tuple(sorted(range(1, n_modes + 1), key=lambda n: (-dims[n - 1], n)))
-    plan = SketchPlan(target_rank, oversampling, sketch_dims, order, seed)
-    gaps = guarantee_gaps(plan, dims)
-    if gaps:
-        warnings.warn(
-            "sketch widths outside the guarantee regime for modes "
-            + ", ".join(f"{n} ({why})" for n, why in sorted(gaps.items())),
-            SketchWidthWarning,
-            stacklevel=2,
-        )
-    return plan
+    return SketchPlan(target_rank, oversampling, sketch_dims, order, seed)
 
 
 def guarantee_gaps(plan, dims):
@@ -231,7 +221,7 @@ def guarantee_gaps(plan, dims):
             bad = [ell for ell in plan.sketch_dims[n] if ell <= bound]
             if bad:
                 reasons.append(f"factor(s) {bad} <= {bound:.2f}")
-        other = int(np.prod([dims[m - 1] for m in range(1, len(dims) + 1) if m != n]))
+        other = math.prod(int(d) for m, d in enumerate(dims, start=1) if m != n)
         if plan.width(n) >= min(dims[n - 1], other):
             reasons.append(f"width {plan.width(n)} >= min(I_n, prod others)")
         if reasons:
@@ -317,7 +307,7 @@ def sketch_full_gaussian(c, n, lprime, stream):
     # Omega's rows run over the other modes earliest fastest: C order over
     # them reversed, which is the mode order of c.T
     omega = omega.reshape(others[::-1] + (lprime,))
-    if c.flags.f_contiguous and not c.flags.c_contiguous:
+    if fortran_only(c):
         t, mode = c.T, c.ndim + 1 - n
     else:
         t, mode = np.ascontiguousarray(c), n

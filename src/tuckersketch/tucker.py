@@ -24,7 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .core import SparseTensor, contraction_order, dims_of, frob_norm, mode_product, unfold
+from .core import (
+    SparseTensor,
+    contraction_order,
+    dims_of,
+    fortran_only,
+    frob_norm,
+    mode_product,
+    unfold,
+)
 from .sketch import (
     GaussianStream,
     batch_sketches,
@@ -159,7 +167,7 @@ def rlne(a, approx):
     sparse = isinstance(a, SparseTensor)
     if not sparse:
         a = np.asarray(a)
-        if a.flags.f_contiguous and not a.flags.c_contiguous:
+        if fortran_only(a):
             # a.T is C-contiguous: walk the transposed problem
             a, core, factors, dims = a.T, core.T, factors[::-1], dims[::-1]
     w = np.ascontiguousarray(core)

@@ -7,7 +7,6 @@ runtimes are asserted where the criterion states one.
 
 import statistics
 import time
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -15,9 +14,6 @@ import pytest
 
 import tuckersketch as ts
 from tuckersketch import bench
-from tuckersketch.sketch import SketchWidthWarning
-
-warnings.simplefilter("ignore", SketchWidthWarning)
 
 SKETCHED = ("tucker_svd_seq", "tucker_svd_batch", "hooi", "ran_tucker", "kr_tucker")
 

@@ -1,16 +1,13 @@
 """Benchmark harness tests: config parsing, suite runs, probe, plots."""
 
 import csv
-import warnings
 
 import numpy as np
 import pytest
 
 import tuckersketch as ts
 from tuckersketch import bench
-from tuckersketch.sketch import SketchWidthWarning, default_plan
-
-warnings.simplefilter("ignore", SketchWidthWarning)
+from tuckersketch.sketch import default_plan
 
 SMALL_CONFIG = """
 # comment lines and blanks are fine

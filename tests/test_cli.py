@@ -1,15 +1,10 @@
 """Command line contract tests: exit codes, printed lines, determinism."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 import tuckersketch as ts
 from tuckersketch import bench, cli
-from tuckersketch.sketch import SketchWidthWarning
-
-warnings.simplefilter("ignore", SketchWidthWarning)
 
 
 def run(args):

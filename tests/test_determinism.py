@@ -16,10 +16,9 @@ import tuckersketch as ts
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 FINGERPRINTS = """
-import hashlib, json, warnings
+import hashlib, json
 import numpy as np
 import tuckersketch as ts
-warnings.simplefilter("ignore")
 out = {}
 # the F-ordered copy runs dense batch's shared contraction on mode N
 for dims, order in [((40, 40, 40), "C"), ((40, 40, 40), "F"), ((12, 12, 12, 12, 12), "C"),

@@ -16,10 +16,9 @@ import tuckersketch as ts
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SCRIPT = """
-import hashlib, json, os, sys, tempfile, warnings
+import hashlib, json, os, sys, tempfile
 import tuckersketch as ts
 from tuckersketch import cli
-warnings.simplefilter("ignore")
 loaded = lambda: {m: m in sys.modules for m in ("numpy.random", "scipy.sparse")}
 out = {"import": loaded()}
 a = ts.gen_reciprocal_sum((10, 9, 8))

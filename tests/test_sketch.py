@@ -136,9 +136,9 @@ def test_default_plan_width_examples():
     plan = sketch.default_plan((100, 100, 100), (25, 25, 25), oversampling=10)
     assert plan.sketch_dims[1] == (6, 6)
     # mu=5, K=10: M = 15 -> (4, 4)
-    with pytest.warns(sketch.SketchWidthWarning):
-        plan = sketch.default_plan((60, 60, 60), (5, 5, 5), oversampling=10)
+    plan = sketch.default_plan((60, 60, 60), (5, 5, 5), oversampling=10)
     assert plan.sketch_dims[2] == (4, 4)
+    assert sketch.guarantee_gaps(plan, (60, 60, 60))
     # mu=20, K=10: M = 30 -> (6, 5)
     plan = sketch.default_plan((120, 120, 120), (20, 20, 20), oversampling=10)
     assert plan.sketch_dims[3] == (6, 5)
@@ -176,15 +176,36 @@ def test_plan_validation():
         sketch.SketchPlan((5, 0, 5), 0, {n: (3, 3) for n in (1, 2, 3)})
 
 
+def test_plan_keeps_its_own_dims_and_compares_them():
+    given = {1: [4, 4], 2: [4, 4], 3: [4, 4]}
+    plan = sketch.SketchPlan((5, 5, 5), 0, given)
+    assert given == {1: [4, 4], 2: [4, 4], 3: [4, 4]}  # caller's dict untouched
+    assert plan.sketch_dims == {1: (4, 4), 2: (4, 4), 3: (4, 4)}
+    with pytest.raises(ValueError, match="outside"):
+        sketch.SketchPlan((5, 5, 5), 0, {n: (4, 4) for n in (1, 2, 3, 4)})
+    wide = sketch.SketchPlan((5, 5, 5), 0, {n: (9, 9) for n in (1, 2, 3)})
+    assert plan != wide
+    assert plan == sketch.SketchPlan((5, 5, 5), 0, {n: (4, 4) for n in (1, 2, 3)})
+    assert hash(plan) == hash(wide)  # widths are compared, not hashed
+
+
 def test_guarantee_gaps_empty_for_generous_plan():
     # wide factors, tiny rank, big tensor: all hypotheses hold
     plan = sketch.SketchPlan((4, 4, 4), 10, {n: (6, 6) for n in (1, 2, 3)})
     assert sketch.guarantee_gaps(plan, (100, 100, 100)) == {}
 
 
-def test_default_plan_warns_in_heuristic_regime():
-    with pytest.warns(sketch.SketchWidthWarning):
-        sketch.default_plan((40, 40, 40), (5, 5, 5), oversampling=10)
+def test_default_plan_gaps_in_heuristic_regime():
+    plan = sketch.default_plan((40, 40, 40), (5, 5, 5), oversampling=10)
+    assert sketch.guarantee_gaps(plan, (40, 40, 40))
+
+
+def test_guarantee_gaps_take_exact_products_of_huge_dims():
+    # prod of three 2^21 dims is 2^63, which wraps to a negative int64
+    dims = (2**21,) * 4
+    plan = sketch.default_plan(dims, (10,) * 4)
+    gaps = sketch.guarantee_gaps(plan, dims)
+    assert not any("prod others" in why for why in gaps.values())
 
 
 def test_sketch_mode_equals_kron_chain():
