@@ -14,11 +14,15 @@ Conventions used across the package:
 
 Dense tensors are plain float ndarrays. The index maps above define what a
 tensor means; the in-memory strides decide only what a contraction costs.
-:func:`mode_product` runs on C- and F-contiguous arrays in place (F order is
-what :func:`tuckersketch.tensor_io.read_tensor` returns) and copies any
-other layout once. Its results are always C- or F-contiguous, so a chain of
-products never copies the tensor. :func:`contraction_order` picks the order
-of a chain of products, the same for every chain in the package.
+:func:`mode_product` contracts in place any array whose memory is a
+transposed C-contiguous array: C order, F order (what
+:func:`tuckersketch.tensor_io.read_tensor` returns) and the views that
+``np.moveaxis`` or ``.transpose`` make of either. :func:`memory_axes` names
+the axes of such an array from slowest to fastest. Any other layout, such as
+a sliced view, is copied once to C order. Results are again transposed
+C-contiguous arrays, so a chain of products never copies the tensor.
+:func:`contraction_order` picks the order of a chain of products, the same
+for every chain in the package.
 
 Sparse tensors are :class:`SparseTensor` coordinate lists. Only their
 contractions need scipy: :meth:`SparseTensor.unfold_csr` imports
@@ -65,12 +69,14 @@ def mode_product(t, mode, b):
 
     ``b`` has shape (J, I_mode); the result replaces dimension I_mode by J and
     equals ``fold(b @ unfold(t, mode), mode, dims)``, but never forms the
-    unfolding. A C-contiguous ``t`` is viewed as (pre, I_mode, post) and
-    contracted by one batched GEMM (a single GEMM for the first and last
-    modes); an F-contiguous ``t`` runs the same kernel on ``t.T``; any other
-    layout is copied once to C order first. The result is C- or F-contiguous.
-    Accepts a :class:`SparseTensor` for ``t`` (the result is a dense
-    F-contiguous array).
+    unfolding. ``t`` is read in its own memory order (:func:`memory_axes`),
+    viewed as (pre, I_mode, post) there, and contracted by one batched GEMM
+    with ``b`` on the left: a single GEMM when mode ``mode`` is outermost,
+    and ``b @ t.reshape(pre, I_mode).T`` when it is innermost, whose result
+    has the new axis outermost. A layout that :func:`memory_axes` rejects is
+    copied once to C order first. The result is a C-contiguous array,
+    possibly seen through a transposed view. Accepts a :class:`SparseTensor`
+    for ``t`` (the result is dense, with mode ``mode`` fastest in memory).
     """
     b = np.asarray(b, dtype=np.float64)
     sparse = isinstance(t, SparseTensor)
@@ -83,52 +89,71 @@ def mode_product(t, mode, b):
             f"matrix has {b.shape[1]} columns, mode {mode} has size {dims[mode - 1]}"
         )
     if sparse:
+        # the (other dims x J) product is C-contiguous, so this is a view
         prod = (t.unfold_csr(mode).T @ b.T).T
         new_dims = list(dims)
         new_dims[mode - 1] = b.shape[0]
-        return np.asfortranarray(fold(prod, mode, new_dims))
+        return fold(prod, mode, new_dims)
     if t.flags.c_contiguous:
-        return _mode_product_c(t, mode, b)
+        return _mode_product_c(t, mode - 1, b)
     if t.flags.f_contiguous:
-        return _mode_product_c(t.T, t.ndim + 1 - mode, b).T
-    return _mode_product_c(np.ascontiguousarray(t), mode, b)
+        return _mode_product_c(t.T, t.ndim - mode, b).T
+    axes = memory_axes(t)
+    if axes is None:
+        return _mode_product_c(np.ascontiguousarray(t), mode - 1, b)
+    inverse = [0] * t.ndim
+    for i, m in enumerate(axes):
+        inverse[m] = i
+    return _mode_product_c(t.transpose(axes), axes.index(mode - 1), b).transpose(inverse)
 
 
-def _mode_product_c(t, mode, b):
-    # t is C-contiguous, so the (pre, I_mode, post) reshapes below are views
+def _mode_product_c(t, k, b):
+    # t is C-contiguous, so the (pre, I_k, post) reshapes below are views
     dims = t.shape
-    pre = math.prod(dims[: mode - 1])
-    post = math.prod(dims[mode:])
-    new_dims = dims[: mode - 1] + (b.shape[0],) + dims[mode:]
+    pre = math.prod(dims[:k])
+    post = math.prod(dims[k + 1 :])
+    new_dims = dims[:k] + (b.shape[0],) + dims[k + 1 :]
     if post == 1:
-        # one GEMM instead of ``pre`` matrix-vector products
-        out = t.reshape(pre, dims[mode - 1]) @ b.T
-    else:
-        out = np.matmul(b, t.reshape(pre, dims[mode - 1], post))
-    return out.reshape(new_dims)
+        # one GEMM with the small matrix on the left; its (J, pre) result
+        # puts the new axis outermost, and its transpose folds to new_dims
+        # as a view
+        return (b @ t.reshape(pre, dims[k]).T).T.reshape(new_dims)
+    return np.matmul(b, t.reshape(pre, dims[k], post)).reshape(new_dims)
 
 
-def fortran_only(t):
-    """True for a dense array that is F- but not C-contiguous.
+def memory_axes(t):
+    """Axes of the ndarray ``t`` from slowest to fastest in memory.
 
-    Its outermost mode in memory is mode N; for every other tensor, including
-    a :class:`SparseTensor`, it is mode 1 (:func:`mode_product` copies any
-    other dense layout to C order).
+    ``t.transpose(memory_axes(t))`` is C-contiguous: (0, ..., N-1) for C
+    order, (N-1, ..., 0) for F order, the permutation for a transposed or
+    ``np.moveaxis`` view of either. Size-1 axes may sit anywhere. Returns
+    ``None`` for an array that no transpose makes C-contiguous, such as a
+    sliced view or one with a negative stride.
     """
-    return isinstance(t, np.ndarray) and t.flags.f_contiguous and not t.flags.c_contiguous
+    if t.flags.c_contiguous:
+        return tuple(range(t.ndim))
+    if t.flags.f_contiguous:
+        return tuple(range(t.ndim - 1, -1, -1))
+    # slowest first; numpy's contiguity flag ignores the size-1 axes
+    axes = tuple(sorted(range(t.ndim), key=t.strides.__getitem__, reverse=True))
+    return axes if t.transpose(axes).flags.c_contiguous else None
 
 
 def contraction_order(t, ratios):
     """Modes of ``t`` by decreasing shrink ratio; ``ratios`` maps mode -> ratio.
 
-    Ties go to the outermost mode in memory first: descending mode for an
-    array that is F- but not C-contiguous (what
-    :func:`tuckersketch.tensor_io.read_tensor` returns), ascending mode for
-    any other input, sparse ones included. A pure function of the shapes and
-    the layout.
+    Ties go first to the outermost mode in memory (:func:`memory_axes`),
+    then to the innermost, then to the middle ones from outer to inner: the
+    two ends of memory each take one GEMM, and contracting the innermost
+    moves the new axis outermost. A :class:`SparseTensor`, and a layout that
+    :func:`mode_product` copies, count as C order. A pure function of the
+    shapes and the layout.
     """
-    tie = -1 if fortran_only(t) else 1
-    return sorted(ratios, key=lambda m: (-ratios[m], tie * m))
+    axes = memory_axes(t) if isinstance(t, np.ndarray) else None
+    if axes is None:
+        axes = tuple(range(len(dims_of(t))))
+    ranked = (axes[0], axes[-1]) + axes[1:-1]
+    return sorted(ratios, key=lambda m: (-ratios[m], ranked.index(m - 1)))
 
 
 def dims_of(t):

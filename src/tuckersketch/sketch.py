@@ -18,9 +18,9 @@ for a given (seed, mode pair) whenever the shapes agree.
 
 Contraction order
 -----------------
-:func:`sketch_mode` contracts the other modes in decreasing shrink ratio,
-ties to the outermost mode in memory first (descending mode for an F-ordered
-dense tensor, ascending otherwise; see
+:func:`sketch_mode` contracts the other modes in decreasing shrink ratio.
+Ties go to the outermost mode in memory first, then to the innermost, then
+to the middle ones from outer to inner (see
 :func:`tuckersketch.core.contraction_order`).
 :func:`batch_sketches` takes every mode's sketch of one tensor. For a dense
 tensor whose outermost mode in memory, p, is longer than the sum of the
@@ -39,7 +39,7 @@ import numpy as np
 # imports lazily inside the first timed draw
 import numpy.random  # noqa: F401
 
-from .core import SparseTensor, contraction_order, dims_of, fortran_only, mode_product, unfold
+from .core import SparseTensor, contraction_order, dims_of, memory_axes, mode_product, unfold
 
 
 def philox_rng(seed, stream_id):
@@ -234,7 +234,7 @@ def sketch_mode(c, n, plan, stream, done=None):
 
     Each G_{n,m} is L_{n,m} x (current size of mode m), drawn i.i.d. standard
     normal from ``stream.fork(m)``. Contractions run in decreasing shrink
-    ratio (size / L), ties to the outermost mode in memory first
+    ratio (size / L), ties to the two ends of memory first
     (:func:`~tuckersketch.core.contraction_order`).
     The result equals unfold(c, n) times the transposed Kronecker chain of the
     G matrices (descending m). Sparse inputs are contracted without
@@ -256,9 +256,9 @@ def sketch_mode(c, n, plan, stream, done=None):
 def batch_sketches(a, plan):
     """{n: :func:`sketch_mode` of ``a`` for mode n} over the modes with mu_n < I_n.
 
-    A dense ``a`` shares one pass. Its outermost mode in memory, p, is mode N
-    for an F-ordered ``a`` and mode 1 otherwise, since :func:`mode_product`
-    copies any other layout to C order. If the widths L_{n,p} of the other
+    A dense ``a`` shares one pass. Its outermost mode in memory is p
+    (:func:`~tuckersketch.core.memory_axes`; mode 1 for a layout that
+    :func:`mode_product` copies to C order). If the widths L_{n,p} of the other
     modes sum to less than I_p, their G_{n,p} are stacked row-wise, mode p is
     contracted once with the stack, and each chain continues from its row
     block, a contiguous slab. Otherwise the stacked product would be larger
@@ -271,7 +271,7 @@ def batch_sketches(a, plan):
     shared, ells = [], []
     if not isinstance(a, SparseTensor):
         a = np.asarray(a)
-        p = a.ndim if fortran_only(a) else 1
+        p = (memory_axes(a) or (0,))[0] + 1
         shared = [n for n in modes if n != p]
         # sketch_dims[n] lists L_{n,m} over m != n, so mode p sits at p - 1 or p - 2
         ells = [plan.sketch_dims[n][p - 1 if p < n else p - 2] for n in shared]
@@ -292,10 +292,11 @@ def sketch_full_gaussian(c, n, lprime, stream):
     """Unstructured sketch unfold(c, n) @ Omega with Omega drawn row-major.
 
     Omega has one row per column of the unfolding and ``lprime`` columns.
-    A dense ``c`` is contracted on its own C or F strides, viewed as
-    (pre, I_n, post) against Omega reordered to match; only Omega, which is
-    small, is ever reordered (any other layout of ``c`` is copied once, as in
-    :func:`mode_product`). A sparse ``c`` is multiplied through its CSR
+    A dense ``c`` is contracted in its own memory order
+    (:func:`~tuckersketch.core.memory_axes`), viewed as (pre, I_n, post)
+    against Omega reordered to match; only Omega, which is small, is ever
+    reordered (a layout that memory order cannot describe is copied once, as
+    in :func:`mode_product`). A sparse ``c`` is multiplied through its CSR
     unfolding and never densified.
     """
     dims = dims_of(c)
@@ -304,16 +305,19 @@ def sketch_full_gaussian(c, n, lprime, stream):
     if isinstance(c, SparseTensor):
         return np.asarray(c.unfold_csr(n) @ omega)
     c = np.asarray(c, dtype=np.float64)
+    axes = memory_axes(c)
+    if axes is None:
+        c = np.ascontiguousarray(c)
+        axes = tuple(range(c.ndim))
+    t = c.transpose(axes)
     # Omega's rows run over the other modes earliest fastest: C order over
-    # them reversed, which is the mode order of c.T
+    # them reversed; put them in the memory order of the other axes of c
     omega = omega.reshape(others[::-1] + (lprime,))
-    if fortran_only(c):
-        t, mode = c.T, c.ndim + 1 - n
-    else:
-        t, mode = np.ascontiguousarray(c), n
-        omega = np.ascontiguousarray(np.moveaxis(omega, -1, 0).T)
-    pre = math.prod(t.shape[: mode - 1])
-    post = math.prod(t.shape[mode:])
+    rev = [m for m in range(c.ndim - 1, -1, -1) if m != n - 1]
+    omega = omega.transpose([rev.index(m) for m in axes if m != n - 1] + [len(rev)])
+    k = axes.index(n - 1)
+    pre = math.prod(t.shape[:k])
+    post = math.prod(t.shape[k + 1 :])
     omega = omega.reshape(pre, post, lprime)
     if post == 1:
         # one GEMM instead of ``pre`` outer products

@@ -28,10 +28,9 @@ from .core import (
     SparseTensor,
     contraction_order,
     dims_of,
-    fortran_only,
     frob_norm,
+    memory_axes,
     mode_product,
-    unfold,
 )
 from .sketch import (
     GaussianStream,
@@ -57,9 +56,9 @@ class TuckerApprox:
     """Core tensor plus one orthonormal factor matrix per mode.
 
     ``factors[n-1]`` has shape (I_n, mu_n); orthonormality is checked at
-    construction. ``rank_warnings`` lists modes whose requested width exceeded
-    the numerical rank of the sketched/unfolded data (those trailing basis
-    columns are arbitrary). ``fit_history`` is populated by :func:`hooi`.
+    construction, and the core is stored C-contiguous. ``rank_warnings``
+    lists modes whose requested width exceeded the numerical rank of the
+    sketched/unfolded data (those trailing basis columns are arbitrary). ``fit_history`` is populated by :func:`hooi`.
     """
 
     core: np.ndarray
@@ -68,7 +67,8 @@ class TuckerApprox:
     fit_history: tuple = ()
 
     def __post_init__(self):
-        self.core = np.asarray(self.core, dtype=np.float64)
+        # the core has at most prod(mu) entries: hand it back in C order
+        self.core = np.ascontiguousarray(self.core, dtype=np.float64)
         self.factors = [np.asarray(q, dtype=np.float64) for q in self.factors]
         if not np.isfinite(self.core).all():
             raise ValueError("core has non-finite entries (NaN or infinity)")
@@ -150,13 +150,15 @@ def reconstruct(approx):
 def rlne(a, approx):
     """Relative low-rank norm error ||a - reconstruct(approx)|| / ||a||.
 
-    Streams the residual slab by slab along the slowest axis in memory (the
-    first for C order and for any strided view, the last for F order), so
-    ``a`` is read once and both norms come from that one read. The core is
-    contracted once with every factor but the fastest axis's; each slab of
-    the reconstruction is then one GEMM against that factor. Memory is one
-    slab of ``_SLAB`` entries plus that core chain, never a tensor-sized
-    array; a :class:`SparseTensor` subtracts its nonzeros from each dense
+    Streams the residual slab by slab along the slowest axis in memory, so
+    ``a`` is read once and both norms come from that one read: any layout
+    that :func:`~tuckersketch.core.memory_axes` describes is walked as the
+    C-contiguous transpose of itself, with the core and factors permuted to
+    match, and any other view (a sliced one) in its C index order, without a
+    copy. The core is contracted once with every factor but the fastest
+    axis's into a C-contiguous chain; each slab of the reconstruction is
+    then one GEMM against that factor. Memory is one slab of ``_SLAB``
+    entries plus that core chain, never a tensor-sized array; a :class:`SparseTensor` subtracts its nonzeros from each dense
     slab instead of being densified. Raises ``ValueError`` when the dims of
     ``a`` and ``approx`` differ.
     """
@@ -167,12 +169,15 @@ def rlne(a, approx):
     sparse = isinstance(a, SparseTensor)
     if not sparse:
         a = np.asarray(a)
-        if fortran_only(a):
-            # a.T is C-contiguous: walk the transposed problem
-            a, core, factors, dims = a.T, core.T, factors[::-1], dims[::-1]
+        axes = memory_axes(a)
+        if axes is not None:
+            # walk the C-contiguous transpose: the permuted problem
+            a, core = a.transpose(axes), core.transpose(axes)
+            factors, dims = [factors[m] for m in axes], a.shape
     w = np.ascontiguousarray(core)
     for n, q in enumerate(factors[:-1], start=1):
         w = mode_product(w, n, q)
+    w = np.ascontiguousarray(w)
     # w has shape dims[:-1] + (r_N,); slab rows of it times q_t give the slab
     q_t = factors[-1].T
     last = len(dims) - 1
@@ -242,11 +247,13 @@ def _tucker(a, target_rank, basis, order=None, sequential=True):
 
     ``sequential`` shrinks the working tensor ``c`` by each factor in ``order``
     (default 1..N), so ``c`` ends as the core; otherwise the core is one
-    projection of ``a`` at the end.
+    projection of ``a`` at the end. A dense ``a`` in a layout that
+    :func:`~tuckersketch.core.mode_product` would copy is copied here, once.
     """
     dims = dims_of(a)
     target_rank = tuple(int(r) for r in target_rank)
     _validate_rank(dims, target_rank)
+    a = _contractible(a)
     c = a
     factors = [None] * len(dims)
     warned = []
@@ -264,9 +271,33 @@ def _tucker(a, target_rank, basis, order=None, sequential=True):
         c = _project(a, factors)
     if c is a:
         # every mode was full rank: the core must not alias the input
-        c = a.densify() if isinstance(a, SparseTensor) else np.array(a, dtype=np.float64)
+        c = a.densify() if isinstance(a, SparseTensor) else np.array(a, order="C")
     factors = [np.eye(d) if q is None else q for d, q in zip(dims, factors)]
     return TuckerApprox(c, factors, rank_warnings=tuple(sorted(warned)))
+
+
+def _contractible(a):
+    """``a``, or one C-ordered copy of a dense view no transpose makes contiguous.
+
+    :func:`~tuckersketch.core.mode_product` and the sketches copy such a view
+    on every call, so a decomposition copies it once up front instead.
+    """
+    if isinstance(a, SparseTensor):
+        return a
+    a = np.asarray(a, dtype=np.float64)
+    return a if memory_axes(a) is not None else np.ascontiguousarray(a)
+
+
+def _memory_unfolding(a, n):
+    """The mode-n matrix of dense ``a``, other modes as columns in memory order.
+
+    Its columns are those of ``unfold(a, n)`` permuted, so it has the same
+    left singular vectors. It is a view when mode n is at either end of
+    memory, and one contiguous copy otherwise.
+    """
+    axes = memory_axes(a)
+    v = a.transpose(axes)
+    return np.moveaxis(v, axes.index(n - 1), 0).reshape(a.shape[n - 1], -1)
 
 
 def _sketch_basis(plan):
@@ -322,7 +353,7 @@ def _exact_basis(a, n, mu):
         u = evecs[:, np.argsort(evals)[::-1][:mu]]
         u = u * linalg.column_sign_flips(u)
         return u, linalg.numerical_rank(np.linalg.norm(x.T @ u, axis=0))
-    u, sig = linalg.left_singular(unfold(a, n), mu)
+    u, sig = linalg.left_singular(_memory_unfolding(a, n), mu)
     return u, linalg.numerical_rank(sig)
 
 
@@ -334,9 +365,9 @@ def tucker_svd_batch(a, plan):
     the sketch, then project ``a`` onto all the bases at once for the core.
 
     The sketches come from :func:`~tuckersketch.sketch.batch_sketches`. A
-    dense ``a`` whose outermost mode in memory p (mode N for F order, else
-    mode 1) is longer than the sum of the other modes' widths L_{n,p} is read
-    three times rather than N+1: mode p is contracted once for every other
+    dense ``a`` whose outermost mode in memory p
+    (:func:`~tuckersketch.core.memory_axes`) is longer than the sum of the
+    other modes' widths L_{n,p} is read three times rather than N+1: mode p is contracted once for every other
     mode that needs a basis, with their G_{n,p} stacked into one GEMM, and
     each of those sketches continues from its row block of the product in the
     decreasing-shrink-ratio order of :func:`sketch_mode`. Mode p's own sketch
@@ -345,10 +376,13 @@ def tucker_svd_batch(a, plan):
     agree with it up to roundoff. Any other ``a``, sparse ones included,
     sketches each mode separately.
     """
-    _validate_rank(dims_of(a), plan.target_rank)
-    sketches = batch_sketches(a, plan)
+    sketches = None
 
     def basis(c, n, mu):
+        # c is the input as _tucker lays it out, the same for every mode
+        nonlocal sketches
+        if sketches is None:
+            sketches = batch_sketches(c, plan)
         return _basis_of_sketch(sketches.pop(n), mu)
 
     return _tucker(a, plan.target_rank, basis, sequential=False)
@@ -423,6 +457,7 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     _validate_rank(dims, target_rank)
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    a = _contractible(a)
     if init == "hosvd":
         factors = truncated_hosvd(a, target_rank).factors
     elif init == "random":
@@ -439,7 +474,7 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
 
     def basis(c, n, mu):
         w = _project(c, [None] * n + factors[n:])
-        factors[n - 1], sig = linalg.left_singular(unfold(w, n), mu)
+        factors[n - 1], sig = linalg.left_singular(_memory_unfolding(w, n), mu)
         return factors[n - 1], linalg.numerical_rank(sig)
 
     norm_a = frob_norm(a)

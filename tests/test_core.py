@@ -5,6 +5,8 @@ the index map (column j enumerates the other modes ascending, earliest
 fastest); everything else must stay consistent with them.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,9 +235,12 @@ def contraction_cases(draw):
     dims = tuple(draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
     mode = draw(st.integers(1, order))
     rows = draw(st.integers(1, 4))
-    layout = draw(st.sampled_from(["C", "F", "moveaxis", "slice", "sparse"]))
+    layout = draw(st.sampled_from(LAYOUTS))
     seed = draw(st.integers(0, 2**32 - 1))
     return dims, mode, rows, layout, seed
+
+
+LAYOUTS = ["C", "F", "moveaxis", "transpose", "slice", "reversed", "sparse"]
 
 
 def tensor_in_layout(dims, layout, rng):
@@ -245,8 +250,13 @@ def tensor_in_layout(dims, layout, rng):
         return np.asfortranarray(rng.standard_normal(dims))
     if layout == "moveaxis":
         return np.moveaxis(rng.standard_normal(dims[-1:] + dims[:-1]), 0, -1)
+    if layout == "transpose":
+        perm = rng.permutation(len(dims))
+        return rng.standard_normal(tuple(dims[p] for p in perm)).transpose(np.argsort(perm))
     if layout == "slice":
         return rng.standard_normal(tuple(2 * d for d in dims))[(slice(None, None, 2),) * len(dims)]
+    if layout == "reversed":
+        return rng.standard_normal(dims)[..., ::-1]
     dense = rng.standard_normal(dims) * (rng.random(dims) < 0.5)
     coords = np.argwhere(dense != 0.0)
     return core.SparseTensor(dims, coords, dense[tuple(coords.T)])
@@ -264,9 +274,55 @@ def test_mode_product_matches_unfold_reference_in_every_layout(case):
     ref = core.fold(b @ core.unfold(dense, mode), mode, new_dims)
     out = core.mode_product(t, mode, b)
     assert out.shape == new_dims
-    assert out.flags.c_contiguous or out.flags.f_contiguous
+    # a transposed view of a C-contiguous array, so the next product is in place
+    assert core.memory_axes(out) is not None
     # relative to the size of the summed terms, so cancellation cannot fail it
     scale = np.linalg.norm(np.abs(b) @ np.abs(core.unfold(dense, mode)))
     assert np.linalg.norm(out - ref) <= 1e-13 * scale
     if not isinstance(t, core.SparseTensor):
         np.testing.assert_array_equal(t, dense)
+
+
+def test_memory_axes_names_the_axes_slowest_first():
+    t = np.zeros((2, 3, 4, 5))
+    assert core.memory_axes(t) == (0, 1, 2, 3)
+    assert core.memory_axes(np.asfortranarray(t)) == (3, 2, 1, 0)
+    assert core.memory_axes(np.moveaxis(t, 0, -1)) == (3, 0, 1, 2)
+    assert core.memory_axes(t.transpose(2, 0, 3, 1)) == (1, 3, 0, 2)
+    assert core.memory_axes(t[:, ::2]) is None
+    assert core.memory_axes(t[:, ::-1]) is None
+    assert core.memory_axes(np.broadcast_to(np.zeros(5), (4, 5))) is None
+
+
+def test_size_one_axes_may_sit_anywhere_in_memory():
+    # a size-1 axis adds no offset, whatever its stride
+    t = np.random.default_rng(2).standard_normal((3, 1, 4, 1, 5))
+    views = [t, np.moveaxis(t, 1, -1), t.transpose(4, 1, 0, 3, 2), t[:, ::-1]]
+    views.append(np.lib.stride_tricks.as_strided(t, strides=(160, 7, 40, -3, 8)))
+    for v in views:
+        axes = core.memory_axes(v)
+        assert axes is not None and v.transpose(axes).flags.c_contiguous
+        for mode, rows in [(1, 2), (2, 3), (3, 1), (4, 2), (5, 4)]:
+            b = np.random.default_rng(mode).standard_normal((rows, v.shape[mode - 1]))
+            out = core.mode_product(v, mode, b)
+            ref = core.fold(b @ core.unfold(v, mode), mode, out.shape)
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+            assert core.memory_axes(out) is not None
+
+
+@pytest.mark.parametrize("axes", [(1, 2, 0), (2, 0, 1), (1, 0, 2)])
+def test_transposed_views_are_contracted_without_a_copy(axes):
+    t = np.random.default_rng(3).standard_normal((40, 50, 60)).transpose(axes)
+    assert not (t.flags.c_contiguous or t.flags.f_contiguous)
+    for mode in (1, 2, 3):
+        b = np.random.default_rng(mode).standard_normal((3, t.shape[mode - 1]))
+        tracemalloc.start()
+        try:
+            out = core.mode_product(t, mode, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output is 3/size of the tensor; a copy would be all of it
+        assert peak < 0.2 * t.nbytes
+        ref = core.fold(b @ core.unfold(t, mode), mode, out.shape)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)

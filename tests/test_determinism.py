@@ -20,10 +20,16 @@ import hashlib, json
 import numpy as np
 import tuckersketch as ts
 out = {}
-# the F-ordered copy runs dense batch's shared contraction on mode N
+# the F-ordered copy runs dense batch's shared contraction on mode N; the
+# order-4 transposed view contracts its innermost axis with the small
+# matrix on the left, as C and F inputs do after their first products
 for dims, order in [((40, 40, 40), "C"), ((40, 40, 40), "F"), ((12, 12, 12, 12, 12), "C"),
-                    ((120, 120, 120), "C")]:
-    a = np.asarray(ts.gen_reciprocal_sum(dims), order=order)
+                    ((120, 120, 120), "C"), ((30, 24, 20, 16), "C"),
+                    ((30, 24, 20, 16), "moveaxis")]:
+    if order == "moveaxis":
+        a = np.moveaxis(ts.gen_reciprocal_sum(dims[1:] + dims[:1]), -1, 0)
+    else:
+        a = np.asarray(ts.gen_reciprocal_sum(dims), order=order)
     for alg in ts.ALGORITHMS:
         apx = ts.decompose(a, alg, (5,) * len(dims), seed=3)
         h = hashlib.sha256(apx.core.tobytes())
@@ -52,4 +58,4 @@ def test_results_do_not_depend_on_the_blas_thread_count():
     # differently in its threaded updates (the only cell that differs)
     differ = sorted(k for k in one if one[k] != two[k] and not k.startswith("truncated_hosvd"))
     assert differ == []
-    assert len(one) == 4 * len(ts.ALGORITHMS)
+    assert len(one) == 6 * len(ts.ALGORITHMS)

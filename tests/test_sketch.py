@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tuckersketch import core, sketch
 
-from test_core import tensor_in_layout
+from test_core import LAYOUTS, tensor_in_layout
 
 # GaussianStream(7, 3).normals(5), from the independent oracle
 STREAM_7_3 = (
@@ -269,7 +269,7 @@ def test_sketch_full_gaussian_matches_redraw():
     st.lists(st.integers(1, 4), min_size=1, max_size=5),
     st.data(),
     st.integers(1, 6),
-    st.sampled_from(["C", "F", "moveaxis", "slice"]),
+    st.sampled_from([layout for layout in LAYOUTS if layout != "sparse"]),
     st.integers(0, 2**32 - 1),
 )
 def test_sketch_full_gaussian_matches_unfolding_in_every_layout(dims, data, lprime, layout, seed):
