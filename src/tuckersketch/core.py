@@ -27,11 +27,70 @@ for every chain in the package.
 Sparse tensors are :class:`SparseTensor` coordinate lists. Only their
 contractions need scipy: :meth:`SparseTensor.unfold_csr` imports
 ``scipy.sparse`` on its first call, so a run on dense tensors never loads it.
+
+Every decomposition and ``rlne`` check their input here and nowhere else:
+:func:`check_tensor` and :func:`check_rank` raise ``ValueError`` naming a
+complex or 0-d tensor, or a rank such as 2.7, ``True`` or ``'2'``.
+Finiteness is checked where it is free: on what ``linalg`` factors.
 """
 
 import math
+import numbers
 
 import numpy as np
+
+
+class RankTooLargeError(ValueError):
+    """Requested multilinear rank exceeds a tensor dimension."""
+
+
+def positive_int(x, what):
+    """``x`` as an int >= 1; a bool, float or string is refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {x!r}")
+    return int(x)
+
+
+def check_rank(dims, target_rank):
+    """``target_rank`` as one int in 1..I_n per mode of ``dims``."""
+    rank = tuple(positive_int(r, f"target rank for mode {n}") for n, r in enumerate(target_rank, 1))
+    if len(rank) != len(dims):
+        raise ValueError(f"target rank has {len(rank)} entries for an order-{len(dims)} tensor")
+    for n, (mu, dim) in enumerate(zip(rank, dims), start=1):
+        if mu > dim:
+            raise RankTooLargeError(f"target rank {mu} for mode {n} exceeds dimension {dim}")
+    return rank
+
+
+def _real(x, what):
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} are complex ({x.dtype}); a tensor must be real")
+    return x.astype(np.float64, copy=False)
+
+
+def check_tensor(a):
+    """``a`` as a :class:`SparseTensor` or a real float64 ndarray of order >= 1.
+
+    A float64 array comes back as itself, in its own layout.
+    """
+    if isinstance(a, SparseTensor):
+        return a
+    a = _real(a, "tensor values")
+    if a.ndim == 0:
+        raise ValueError("tensor has order 0; a tensor must have order >= 1")
+    return a
+
+
+# a sum of squares outside this is redone on power-of-two scaled values:
+# below, squares lose bits as subnormals; above, a residual's may overflow
+SQUARES_RANGE = (2.0**-600, 2.0**600)
+
+
+def pow2_scale(x):
+    """2^-e with max|x| * 2^-e in [0.5, 1), an exact scale (Blue 1978); else 1.0."""
+    top = float(np.max(np.abs(x), initial=0.0))
+    return math.ldexp(1.0, -math.frexp(top)[1]) if 0.0 < top < math.inf else 1.0
 
 
 def _check_mode(mode, ndim):
@@ -161,12 +220,16 @@ def dims_of(t):
     return t.dims if isinstance(t, SparseTensor) else np.shape(t)
 
 
+@np.errstate(over="ignore")  # an overflowed sum of squares is redone scaled
 def frob_norm(t):
-    """Frobenius norm of a dense or sparse tensor."""
-    if isinstance(t, SparseTensor):
-        return float(np.linalg.norm(t.values))
+    """Frobenius norm of a dense or sparse tensor, correct at any finite scale."""
+    x = t.values if isinstance(t, SparseTensor) else np.asarray(t, dtype=np.float64)
     # norm ravels in memory order, so an F-ordered tensor is not copied
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64)))
+    norm = float(np.linalg.norm(x))
+    if SQUARES_RANGE[0] <= norm * norm <= SQUARES_RANGE[1]:
+        return norm
+    scale = pow2_scale(x)
+    return norm if scale == 1.0 else float(np.linalg.norm(x * scale)) / scale
 
 
 class SparseTensor:
@@ -181,7 +244,7 @@ class SparseTensor:
     def __init__(self, dims, coords, values):
         self.dims = tuple(int(d) for d in dims)
         coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-        values = np.asarray(values, dtype=np.float64).ravel()
+        values = _real(values, "sparse values").ravel()
         if coords.size == 0:
             coords = coords.reshape(0, len(self.dims))
         if coords.shape != (values.size, len(self.dims)):
@@ -252,7 +315,7 @@ def accumulate_sparse(dims, coords, values):
     """
     dims = tuple(int(d) for d in dims)
     coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-    values = np.asarray(values, dtype=np.float64).ravel()
+    values = _real(values, "sparse values").ravel()
     if coords.size == 0:
         return SparseTensor(dims, np.empty((0, len(dims)), dtype=np.int64), [])
     # lexsort keys on the last mode first: the first-mode-fastest order, with

@@ -39,7 +39,8 @@ import numpy as np
 # imports lazily inside the first timed draw
 import numpy.random  # noqa: F401
 
-from .core import SparseTensor, contraction_order, dims_of, memory_axes, mode_product, unfold
+from .core import (SparseTensor, check_rank, contraction_order, dims_of, memory_axes,
+                   mode_product, positive_int, unfold)
 
 
 def philox_rng(seed, stream_id):
@@ -127,17 +128,16 @@ class SketchPlan:
         n_modes = len(self.target_rank)
         if n_modes < 1:
             raise ValueError("target rank must name at least one mode")
-        if any(int(r) < 1 for r in self.target_rank):
-            raise ValueError(f"target rank entries must be >= 1, got {self.target_rank}")
+        rank = tuple(positive_int(r, "target rank entry") for r in self.target_rank)
+        object.__setattr__(self, "target_rank", rank)
         if self.oversampling < 0:
             raise ValueError(f"oversampling must be >= 0, got {self.oversampling}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         order = self.order or tuple(range(1, n_modes + 1))
-        object.__setattr__(self, "order", tuple(int(p) for p in order))
+        object.__setattr__(self, "order", tuple(positive_int(p, "order entry") for p in order))
         if sorted(self.order) != list(range(1, n_modes + 1)):
             raise ValueError(f"order {self.order} is not a permutation of modes 1..{n_modes}")
-        object.__setattr__(self, "target_rank", tuple(int(r) for r in self.target_rank))
         extra = [k for k in self.sketch_dims if k not in range(1, n_modes + 1)]
         if extra:
             raise ValueError(f"sketch dims given for modes {extra} outside 1..{n_modes}")
@@ -145,8 +145,8 @@ class SketchPlan:
         for n in range(1, n_modes + 1):
             if n not in self.sketch_dims:
                 raise ValueError(f"sketch dims missing for mode {n}")
-            ell = tuple(int(x) for x in self.sketch_dims[n])
-            if len(ell) != n_modes - 1 or any(x < 1 for x in ell):
+            ell = tuple(positive_int(x, f"sketch dim for mode {n}") for x in self.sketch_dims[n])
+            if len(ell) != n_modes - 1:
                 raise ValueError(f"sketch dims for mode {n} must be {n_modes - 1} positive ints")
             sketch_dims[n] = ell
             width = math.prod(ell)
@@ -168,24 +168,22 @@ def default_plan(dims, target_rank, oversampling=10, seed=0):
     (just mu + K when mu <= 1), split into N-1 integer factors near
     M^(1/(N-1)); the last factor is bumped until the product reaches mu + K.
     The processing order visits modes by non-increasing dimension, ties by
-    mode index. Raises ``ValueError`` for an order-1 tensor, which has no
-    other mode to sketch. The widths usually sit outside the regime where
-    the sketch-accuracy guarantee applies, which marks the run as heuristic,
-    not wrong; :func:`guarantee_gaps` lists the modes and reasons.
+    mode index. ``target_rank`` must be one integer in 1..I_n per mode
+    (:func:`~tuckersketch.core.check_rank`; a rank above I_n raises
+    :class:`~tuckersketch.core.RankTooLargeError`). Raises ``ValueError`` for
+    an order-1 tensor, which has no other mode to sketch. The widths usually
+    sit outside the regime where the sketch-accuracy guarantee applies, which
+    marks the run as heuristic, not wrong; :func:`guarantee_gaps` lists the
+    modes and reasons.
     """
     dims = tuple(int(d) for d in dims)
-    target_rank = tuple(int(r) for r in target_rank)
     n_modes = len(dims)
     if n_modes < 2:
         raise ValueError(
             f"a Kronecker sketch plan needs a tensor of order >= 2, got order {n_modes}; "
             "ran_tucker, kr_tucker, hooi and truncated_hosvd accept order 1"
         )
-    if len(target_rank) != n_modes:
-        raise ValueError(f"target rank has {len(target_rank)} entries for {n_modes} modes")
-    for n, (mu, dim) in enumerate(zip(target_rank, dims), start=1):
-        if not 1 <= mu <= dim:
-            raise ValueError(f"target rank for mode {n} must be in 1..{dim}, got {mu}")
+    target_rank = check_rank(dims, target_rank)
     sketch_dims = {}
     for n, mu in enumerate(target_rank, start=1):
         k = oversampling

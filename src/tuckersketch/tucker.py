@@ -25,12 +25,18 @@ import numpy as np
 
 from . import linalg
 from .core import (
+    SQUARES_RANGE,
+    RankTooLargeError,  # noqa: F401  (kept as tucker.RankTooLargeError)
     SparseTensor,
+    check_rank,
+    check_tensor,
     contraction_order,
     dims_of,
     frob_norm,
     memory_axes,
     mode_product,
+    positive_int,
+    pow2_scale,
 )
 from .sketch import (
     GaussianStream,
@@ -45,10 +51,6 @@ from .sketch import (
 ORTHO_TOL = 1e-10
 # entries per slab of the residual that rlne streams (2 MiB of doubles)
 _SLAB = 1 << 18
-
-
-class RankTooLargeError(ValueError):
-    """Requested multilinear rank exceeds a tensor dimension."""
 
 
 @dataclass
@@ -147,6 +149,7 @@ def reconstruct(approx):
     return out
 
 
+@np.errstate(over="ignore")  # an overflowed sum of squares is redone scaled
 def rlne(a, approx):
     """Relative low-rank norm error ||a - reconstruct(approx)|| / ||a||.
 
@@ -158,22 +161,27 @@ def rlne(a, approx):
     copy. The core is contracted once with every factor but the fastest
     axis's into a C-contiguous chain; each slab of the reconstruction is
     then one GEMM against that factor. Memory is one slab of ``_SLAB``
-    entries plus that core chain, never a tensor-sized array; a :class:`SparseTensor` subtracts its nonzeros from each dense
-    slab instead of being densified. Raises ``ValueError`` when the dims of
+    entries plus that core chain, never a tensor-sized array; a
+    :class:`SparseTensor` subtracts its nonzeros from each dense slab
+    instead of being densified. It is correct for entries from about 1e-300
+    to 1e300: a sum of squares outside ``core.SQUARES_RANGE`` is redone,
+    once, on ``a`` and the core times an exact power of two. Raises
+    ``ValueError`` for a non-finite ``a``, for one that
+    :func:`~tuckersketch.core.check_tensor` refuses, and when the dims of
     ``a`` and ``approx`` differ.
     """
+    a = check_tensor(a)
     dims = dims_of(a)
     if dims != approx.dims:
         raise ValueError(f"tensor dims {dims} do not match approximation dims {approx.dims}")
-    core, factors = approx.core, approx.factors
+    t, core, factors = a, approx.core, approx.factors
     sparse = isinstance(a, SparseTensor)
     if not sparse:
-        a = np.asarray(a)
         axes = memory_axes(a)
         if axes is not None:
             # walk the C-contiguous transpose: the permuted problem
-            a, core = a.transpose(axes), core.transpose(axes)
-            factors, dims = [factors[m] for m in axes], a.shape
+            t, core = a.transpose(axes), core.transpose(axes)
+            factors, dims = [factors[m] for m in axes], t.shape
     w = np.ascontiguousarray(core)
     for n, q in enumerate(factors[:-1], start=1):
         w = mode_product(w, n, q)
@@ -211,12 +219,19 @@ def rlne(a, approx):
             at = (a.coords[sel, k] - start,) + tuple(a.coords[sel, k + 1 :].T)
             r[at] -= a.values[sel]
         else:
-            x = np.asarray(a[ix], dtype=np.float64)
+            x = t[ix]
             r -= x
             x = x.reshape(-1)
             norm2 += float(x @ x)
         r = r.reshape(-1)
         err2 += float(r @ r)
+    if not SQUARES_RANGE[0] <= norm2 <= SQUARES_RANGE[1]:
+        scale = pow2_scale(a.values if sparse else a)
+        if scale != 1.0:
+            a = SparseTensor(a.dims, a.coords, a.values * scale) if sparse else a * scale
+            return rlne(a, TuckerApprox(approx.core * scale, approx.factors))
+        if not math.isfinite(norm2):
+            raise ValueError("tensor has non-finite entries (NaN or infinity)")
     err, norm_a = math.sqrt(err2), math.sqrt(norm2)
     if norm_a == 0.0:
         return 0.0 if err == 0.0 else math.inf
@@ -228,32 +243,24 @@ def metrics_for(a, approx, wall_time_s=float("nan")):
     return Metrics(rlne=e, fit=1.0 - e, wall_time_s=wall_time_s)
 
 
-def _validate_rank(dims, target_rank):
-    if len(target_rank) != len(dims):
-        raise ValueError(
-            f"target rank has {len(target_rank)} entries for an order-{len(dims)} tensor"
-        )
-    for n, (mu, dim) in enumerate(zip(target_rank, dims), start=1):
-        if mu < 1:
-            raise ValueError(f"target rank for mode {n} must be >= 1, got {mu}")
-        if mu > dim:
-            raise RankTooLargeError(
-                f"target rank {mu} for mode {n} exceeds dimension {dim}"
-            )
+def _input(a, target_rank):
+    """Checked ``(a, target_rank)``; a view that mode products would copy is copied once."""
+    a = check_tensor(a)
+    rank = check_rank(dims_of(a), target_rank)
+    if not isinstance(a, SparseTensor) and memory_axes(a) is None:
+        a = np.ascontiguousarray(a)
+    return a, rank
 
 
 def _tucker(a, target_rank, basis, order=None, sequential=True):
     """Per-mode loop: ``basis(c, n, mu)`` gives (factor, numerical rank).
 
+    ``a`` and ``target_rank`` are as :func:`_input` returns them.
     ``sequential`` shrinks the working tensor ``c`` by each factor in ``order``
     (default 1..N), so ``c`` ends as the core; otherwise the core is one
-    projection of ``a`` at the end. A dense ``a`` in a layout that
-    :func:`~tuckersketch.core.mode_product` would copy is copied here, once.
+    projection of ``a`` at the end.
     """
     dims = dims_of(a)
-    target_rank = tuple(int(r) for r in target_rank)
-    _validate_rank(dims, target_rank)
-    a = _contractible(a)
     c = a
     factors = [None] * len(dims)
     warned = []
@@ -274,18 +281,6 @@ def _tucker(a, target_rank, basis, order=None, sequential=True):
         c = a.densify() if isinstance(a, SparseTensor) else np.array(a, order="C")
     factors = [np.eye(d) if q is None else q for d, q in zip(dims, factors)]
     return TuckerApprox(c, factors, rank_warnings=tuple(sorted(warned)))
-
-
-def _contractible(a):
-    """``a``, or one C-ordered copy of a dense view no transpose makes contiguous.
-
-    :func:`~tuckersketch.core.mode_product` and the sketches copy such a view
-    on every call, so a decomposition copies it once up front instead.
-    """
-    if isinstance(a, SparseTensor):
-        return a
-    a = np.asarray(a, dtype=np.float64)
-    return a if memory_axes(a) is not None else np.ascontiguousarray(a)
 
 
 def _memory_unfolding(a, n):
@@ -311,17 +306,18 @@ def _sketch_basis(plan):
 
 def _basis_of_sketch(b, mu):
     q, s = linalg.fixed_rank_basis(b, mu)
-    # row norms of s are exactly the leading singular values
-    return q, linalg.numerical_rank(np.linalg.norm(s, axis=1))
+    # row norms of s are exactly the leading singular values; a power-of-two
+    # scale keeps their squares in range and leaves every rank decision alone
+    return q, linalg.numerical_rank(np.linalg.norm(s * pow2_scale(s), axis=1))
 
 
 def _qr_basis(sketcher, target_rank, lprime, oversampling, seed):
     """QR basis of a one-matrix sketch of width ``lprime`` (scalar or per mode)."""
     if lprime is None:
-        lprime = [int(mu) + oversampling for mu in target_rank]
+        lprime = [mu + oversampling for mu in target_rank]
     elif np.isscalar(lprime):
         lprime = [lprime] * len(target_rank)
-    lprimes = [int(x) for x in lprime]
+    lprimes = [positive_int(x, "sketch width") for x in lprime]
     if len(lprimes) != len(target_rank):
         raise ValueError(f"need one sketch width per mode, got {lprimes}")
     for mu, lp in zip(target_rank, lprimes):
@@ -348,7 +344,8 @@ def _exact_basis(a, n, mu):
     sqrt(eps) * sigma_1 still mixes the trailing eigenvectors.
     """
     if isinstance(a, SparseTensor):
-        x = a.unfold_csr(n)
+        # an exact power-of-two scale keeps the Gram matrix in the double range
+        x = a.unfold_csr(n) * pow2_scale(a.values)
         evals, evecs = np.linalg.eigh(linalg.check_finite((x @ x.T).toarray()))
         u = evecs[:, np.argsort(evals)[::-1][:mu]]
         u = u * linalg.column_sign_flips(u)
@@ -385,7 +382,7 @@ def tucker_svd_batch(a, plan):
             sketches = batch_sketches(c, plan)
         return _basis_of_sketch(sketches.pop(n), mu)
 
-    return _tucker(a, plan.target_rank, basis, sequential=False)
+    return _tucker(*_input(a, plan.target_rank), basis, sequential=False)
 
 
 def tucker_svd_seq(a, plan):
@@ -395,7 +392,7 @@ def tucker_svd_seq(a, plan):
     shrinks the working tensor, so later sketches act on smaller data. The
     final working tensor is the core.
     """
-    return _tucker(a, plan.target_rank, _sketch_basis(plan), plan.order)
+    return _tucker(*_input(a, plan.target_rank), _sketch_basis(plan), plan.order)
 
 
 def ran_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
@@ -405,6 +402,7 @@ def ran_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
     (prod of other dims) x lprime Gaussian, and the basis comes from QR
     truncated to mu_n columns. ``lprime`` defaults to mu_n + oversampling.
     """
+    a, target_rank = _input(a, target_rank)
     basis = _qr_basis(sketch_full_gaussian, target_rank, lprime, oversampling, seed)
     return _tucker(a, target_rank, basis)
 
@@ -416,6 +414,7 @@ def kr_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
     Kronecker chain of per-mode I_m x lprime Gaussians, so only
     sum(I_m) * lprime variates are drawn per mode.
     """
+    a, target_rank = _input(a, target_rank)
     basis = _qr_basis(sketch_khatri_rao, target_rank, lprime, oversampling, seed)
     return _tucker(a, target_rank, basis)
 
@@ -432,7 +431,7 @@ def truncated_hosvd(a, target_rank):
     ``rank_warnings``; both kinds of input take the same 1e-12 * sigma_1
     rank rule (see :func:`_exact_basis`).
     """
-    return _tucker(a, target_rank, _exact_basis, sequential=False)
+    return _tucker(*_input(a, target_rank), _exact_basis, sequential=False)
 
 
 def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
@@ -452,12 +451,10 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     refined and keeps an identity factor, as in every other algorithm;
     ``rank_warnings`` are those of the last sweep.
     """
+    a, target_rank = _input(a, target_rank)
     dims = dims_of(a)
-    target_rank = tuple(int(r) for r in target_rank)
-    _validate_rank(dims, target_rank)
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    a = _contractible(a)
     if init == "hosvd":
         factors = truncated_hosvd(a, target_rank).factors
     elif init == "random":
@@ -482,8 +479,9 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     history = []
     for _ in range(max_iters):
         approx = _tucker(a, target_rank, basis)
-        err2 = max(norm_a**2 - frob_norm(approx.core) ** 2, 0.0)
-        fit = 1.0 - math.sqrt(err2) / norm_a if norm_a else 1.0
+        # a ratio of norms: no square leaves the double range
+        kept2 = (frob_norm(approx.core) / norm_a) ** 2 if norm_a else 1.0
+        fit = 1.0 - math.sqrt(max(1.0 - kept2, 0.0))
         history.append(fit)
         if fit - fit_prev < tol:
             break
@@ -514,16 +512,21 @@ def decompose(
     tol=1e-4,
     init="random",
 ):
-    """Run one algorithm by name with shared parameter conventions."""
+    """Run one algorithm by name with shared parameter conventions.
+
+    ``a`` and ``target_rank`` are checked by the algorithm against the
+    input contract of :mod:`tuckersketch.core`: a :class:`SparseTensor` or
+    a real array of order >= 1, and one integer in 1..I_n per mode.
+    Anything else raises ``ValueError`` naming the bad input, and a rank
+    above I_n raises :class:`RankTooLargeError`.
+    """
     if algorithm not in ALGORITHMS:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; valid names: {', '.join(ALGORITHMS)}"
         )
-    target_rank = tuple(int(r) for r in target_rank)
-    _validate_rank(dims_of(a), target_rank)
     if algorithm in ("tucker_svd_seq", "tucker_svd_batch"):
         if plan is None:
-            plan = default_plan(dims_of(a), target_rank, oversampling, seed)
+            plan = default_plan(dims_of(check_tensor(a)), target_rank, oversampling, seed)
         fn = tucker_svd_seq if algorithm == "tucker_svd_seq" else tucker_svd_batch
         return fn(a, plan)
     if algorithm == "hooi":

@@ -67,6 +67,15 @@ def test_exit_code_3_when_rank_exceeds_dim(tmp_path, capsys):
     assert "exceeds dimension" in captured.err
 
 
+def test_probe_exits_3_when_rank_exceeds_dim(tmp_path, capsys):
+    t = tmp_path / "t6.txt"
+    run(["gen", "reciprocal_sum", "--dims", "6,6,6", "--out", str(t)])
+    code = run(["probe", str(t), "--rank", "7"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "exceeds dimension" in captured.err
+
+
 def test_exit_code_2_on_unknown_algorithm(tmp_path, capsys):
     t = tmp_path / "t.txt"
     run(["gen", "reciprocal_sum", "--dims", "6,6,6", "--out", str(t)])

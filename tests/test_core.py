@@ -177,6 +177,22 @@ def test_accumulate_sparse_sums_duplicates():
     assert d[1, 2, 0] == 2.0
 
 
+@pytest.mark.parametrize("build", [core.SparseTensor, core.accumulate_sparse])
+def test_sparse_values_must_be_real(build):
+    # a cast would drop the imaginary part
+    with pytest.raises(ValueError, match="complex"):
+        build((2, 2), [[0, 1], [1, 0]], np.array([1.0 + 2.0j, 3.0]))
+
+
+@pytest.mark.parametrize("k", [-1000, -520, 510, 1000])
+def test_frob_norm_is_exact_at_any_finite_scale(k):
+    a = np.random.default_rng(1).standard_normal((6, 7, 8))
+    dense = core.frob_norm(a)
+    assert core.frob_norm(a * 2.0**k) == pytest.approx(dense * 2.0**k, rel=1e-15, abs=0.0)
+    sparse = core.SparseTensor(a.shape, np.argwhere(a), a.ravel() * 2.0**k)
+    assert core.frob_norm(sparse) == pytest.approx(dense * 2.0**k, rel=1e-15, abs=0.0)
+
+
 def test_accumulate_sparse_keeps_cancelled_entries():
     # accumulation is a sum, not a prune: exact cancellation stays as a
     # stored zero so nnz reflects the support that was written

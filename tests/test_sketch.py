@@ -176,6 +176,20 @@ def test_plan_validation():
         sketch.SketchPlan((5, 0, 5), 0, {n: (3, 3) for n in (1, 2, 3)})
 
 
+@pytest.mark.parametrize(
+    "rank, dims, order, names",
+    [
+        ((2.7, 2, 2), (3, 3), (), "target rank entry .*2.7"),
+        ((2, 2, True), (3, 3), (), "target rank entry .*True"),
+        ((2, 2, 2), (3, 2.5), (), "sketch dim for mode .*2.5"),
+        ((2, 2, 2), (3, 3), (1.0, 2, 3), "order entry .*1.0"),
+    ],
+)
+def test_plan_refuses_non_integers_instead_of_truncating(rank, dims, order, names):
+    with pytest.raises(ValueError, match=names):
+        sketch.SketchPlan(rank, 0, {n: dims for n in (1, 2, 3)}, order=order)
+
+
 def test_plan_keeps_its_own_dims_and_compares_them():
     given = {1: [4, 4], 2: [4, 4], 3: [4, 4]}
     plan = sketch.SketchPlan((5, 5, 5), 0, given)

@@ -5,6 +5,7 @@ approximation drops only the trailing 1, so RLNE = 1/sqrt(14); rank-(1,1,1)
 drops 2 and 1, so RLNE = sqrt(5/14). Worked by hand, frozen here.
 """
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -277,6 +278,86 @@ def test_rank_validation_errors():
     with pytest.raises(ValueError):
         ts.decompose(a, "truncated_hosvd", (2, 2))
     assert issubclass(tucker.RankTooLargeError, ValueError)
+
+
+# (tensor from a 6x7x8 one, target rank, what the error must name)
+CONTRACT_CASES = {
+    "complex": (lambda a: a + 1j, (2, 2, 2), "complex"),
+    "fractional rank": (None, (2.7, 2, 2), "target rank for mode 1 .*2.7"),
+    "float rank": (None, (2, np.float64(2.0), 2), "target rank for mode 2 .*2.0"),
+    "bool rank": (None, (2, 2, True), "target rank for mode 3 .*True"),
+    "string rank": (None, ("2", 2, 2), "target rank for mode 1 .*'2'"),
+    "0-d": (lambda a: np.array(1.5), (2, 2, 2), "order 0"),
+}
+
+
+@pytest.mark.parametrize("direct", [False, True])
+@pytest.mark.parametrize(
+    "case, sparse",
+    # a SparseTensor is real and of order >= 1 by construction
+    [(c, False) for c in CONTRACT_CASES]
+    + [(c, True) for c, (make, _, _) in CONTRACT_CASES.items() if make is None],
+)
+@pytest.mark.parametrize("alg", tucker.ALGORITHMS)
+def test_inputs_outside_the_contract_are_refused_by_name(alg, case, sparse, direct):
+    make, rank, names = CONTRACT_CASES[case]
+    a = np.random.default_rng(0).standard_normal((6, 7, 8))
+    if make is not None:
+        a = make(a)
+    elif sparse:
+        a = sparse_copy(a)
+    with pytest.raises(ValueError, match=names):
+        if not direct:
+            ts.decompose(a, alg, rank, seed=0)
+        elif alg in ("tucker_svd_seq", "tucker_svd_batch"):
+            getattr(ts, alg)(a, default_plan((6, 7, 8), rank))
+        else:
+            getattr(ts, alg)(a, rank)
+
+
+@pytest.mark.parametrize("lprime", [7.5, (7, 7.0, 7), (7, True, 7)])
+@pytest.mark.parametrize("alg", ["ran_tucker", "kr_tucker"])
+def test_sketch_widths_must_be_integers(alg, lprime):
+    a = np.random.default_rng(0).standard_normal((6, 7, 8))
+    with pytest.raises(ValueError, match="sketch width"):
+        ts.decompose(a, alg, (1, 1, 1), lprime=lprime)
+
+
+@pytest.mark.parametrize("case", ["complex", "0-d"])
+def test_rlne_refuses_tensors_outside_the_contract(case):
+    a = np.random.default_rng(0).standard_normal((6, 7, 8))
+    apx = ts.truncated_hosvd(a, (2, 2, 2))
+    make, _, names = CONTRACT_CASES[case]
+    with pytest.raises(ValueError, match=names):
+        ts.rlne(make(a), apx)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_rlne_refuses_non_finite_tensors(value):
+    a = np.random.default_rng(0).standard_normal((6, 7, 8))
+    apx = ts.truncated_hosvd(a, (2, 2, 2))
+    a[1, 2, 3] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        ts.rlne(a, apx)
+    with pytest.raises(ValueError, match="non-finite"):
+        ts.rlne(sparse_copy(a), apx)
+
+
+@pytest.mark.parametrize("dims", [(6, 7, 8), (9, 8, 7, 6)])
+@pytest.mark.parametrize("k", [-1000, -520, 510, 1000])
+def test_results_hold_at_any_finite_scale(dims, k):
+    # squares of entries near 2^±1000 leave the double range; the rescaled
+    # sums must give the rlne, rank decisions and sweeps of the unscaled input
+    a = np.random.default_rng(3).standard_normal(dims)
+    rank = (3,) * len(dims)
+    for alg, kind in itertools.product(tucker.ALGORITHMS, (np.asarray, sparse_copy)):
+        ref = ts.decompose(kind(a), alg, rank, seed=1)
+        x = kind(a * 2.0**k)
+        apx = ts.decompose(x, alg, rank, seed=1)
+        expected = pytest.approx(ts.rlne(kind(a), ref), rel=1e-15, abs=0.0)
+        assert ts.rlne(x, apx) == expected, alg
+        assert apx.rank_warnings == ref.rank_warnings, alg
+        assert len(apx.fit_history) == len(ref.fit_history), alg
 
 
 def test_decompose_rejects_unknown_algorithm():
@@ -589,18 +670,19 @@ def test_dense_batch_reads_the_input_three_times_when_the_lead_shrinks(
     # projection; otherwise one read per sketch and the projection. A sliced
     # view is copied once up front, and the reads are of that copy.
     a = tensor_in_layout(dims, layout, np.random.default_rng(0))
-    laid_out, seen, original = [], [], tucker._contractible
+    laid_out, seen, original = [], [], tucker._input
 
-    def contractible(x):
-        laid_out.append(original(x))
-        return laid_out[-1]
+    def checked(x, rank):
+        out = original(x, rank)
+        laid_out.append(out[0])
+        return out
 
     def spy(t, mode, b):
         if t is laid_out[0]:
             seen.append(mode)
         return ts.mode_product(t, mode, b)
 
-    monkeypatch.setattr(tucker, "_contractible", contractible)
+    monkeypatch.setattr(tucker, "_input", checked)
     for module in (tucker, sketch):
         monkeypatch.setattr(module, "mode_product", spy)
     ts.decompose(a, "tucker_svd_batch", (2,) * len(dims), seed=1)
