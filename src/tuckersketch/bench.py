@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import generators
-from .core import SparseTensor, dims_of, frob_norm, mode_product, unfold
+from .core import SparseTensor, dims_of, frob_norm, mode_product, positive_int, unfold
 from .generators import FAMILIES
 from .linalg import delta_tail
 from .tucker import ALGORITHMS, decompose, rlne, tucker_svd_seq
@@ -65,6 +65,7 @@ class SuiteConfig:
                 )
         if "tucker_noise" in self.families and self.core_dims is None:
             raise ValueError("field 'core_dims' is required for the tucker_noise family")
+        self.timing_repeats = positive_int(self.timing_repeats, "timing_repeats")
 
 
 _LIST_FIELDS = {
@@ -197,7 +198,7 @@ def run_suite(config):
                     for seed in config.seeds:
                         best = None
                         approx = None
-                        for _ in range(max(1, config.timing_repeats)):
+                        for _ in range(config.timing_repeats):
                             t0 = time.perf_counter()
                             approx = decompose(
                                 tensor,
@@ -297,8 +298,7 @@ def probe_bound(a, plan, trials, cap=10.0):
     the ratios are meaningless: ``degenerate`` is set and success counts
     trials with error <= 1e-8 * ||a|| instead.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = positive_int(trials, "trials")
     svals = mode_singular_values(a)
     deltas = tuple(delta_tail(s, mu + 1) for s, mu in zip(svals, plan.target_rank))
     total = float(sum(deltas))

@@ -31,7 +31,9 @@ contractions need scipy: :meth:`SparseTensor.unfold_csr` imports
 Every decomposition and ``rlne`` check their input here and nowhere else:
 :func:`check_tensor` and :func:`check_rank` raise ``ValueError`` naming a
 complex or 0-d tensor, or a rank such as 2.7, ``True`` or ``'2'``.
-Finiteness is checked where it is free: on what ``linalg`` factors.
+Finiteness is checked where it is free: on what ``linalg`` factors. Every
+other count (dims, seeds, oversampling, ``nnz``, iterations) passes the same
+rule, :func:`positive_int` with a lower bound of 0 or 1, or :func:`check_dims`.
 """
 
 import math
@@ -44,11 +46,16 @@ class RankTooLargeError(ValueError):
     """Requested multilinear rank exceeds a tensor dimension."""
 
 
-def positive_int(x, what):
-    """``x`` as an int >= 1; a bool, float or string is refused, not truncated."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 1:
-        raise ValueError(f"{what} must be an integer >= 1, got {x!r}")
+def positive_int(x, what, low=1):
+    """``x`` as an int >= ``low``; a bool, float or string is refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {x!r}")
     return int(x)
+
+
+def check_dims(dims):
+    """``dims`` as a tuple of ints >= 1, one per mode."""
+    return tuple(positive_int(d, f"dim for mode {n}") for n, d in enumerate(dims, 1))
 
 
 def check_rank(dims, target_rank):
@@ -111,7 +118,7 @@ def unfold(t, mode):
 
 def fold(mat, mode, dims):
     """Inverse of :func:`unfold`: rebuild the tensor of shape ``dims``."""
-    dims = tuple(int(d) for d in dims)
+    dims = check_dims(dims)
     _check_mode(mode, len(dims))
     mat = np.asarray(mat, dtype=np.float64)
     rest = tuple(d for i, d in enumerate(dims) if i != mode - 1)
@@ -153,10 +160,6 @@ def mode_product(t, mode, b):
         new_dims = list(dims)
         new_dims[mode - 1] = b.shape[0]
         return fold(prod, mode, new_dims)
-    if t.flags.c_contiguous:
-        return _mode_product_c(t, mode - 1, b)
-    if t.flags.f_contiguous:
-        return _mode_product_c(t.T, t.ndim - mode, b).T
     axes = memory_axes(t)
     if axes is None:
         return _mode_product_c(np.ascontiguousarray(t), mode - 1, b)
@@ -242,7 +245,7 @@ class SparseTensor:
     """
 
     def __init__(self, dims, coords, values):
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = check_dims(dims)
         coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
         values = _real(values, "sparse values").ravel()
         if coords.size == 0:
@@ -252,8 +255,6 @@ class SparseTensor:
                 f"coords shape {coords.shape} does not match {values.size} values "
                 f"of an order-{len(self.dims)} tensor"
             )
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"dims must be positive, got {self.dims}")
         if coords.size:
             if coords.min() < 0 or np.any(coords >= np.asarray(self.dims)):
                 raise ValueError("coords out of range for dims " + str(self.dims))
@@ -313,7 +314,6 @@ def accumulate_sparse(dims, coords, values):
     are kept (the entry count is what the accumulation produced, not a pruned
     support).
     """
-    dims = tuple(int(d) for d in dims)
     coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
     values = _real(values, "sparse values").ravel()
     if coords.size == 0:

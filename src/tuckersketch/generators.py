@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseTensor, accumulate_sparse, frob_norm, mode_product
+from .core import (SparseTensor, accumulate_sparse, check_dims, frob_norm, mode_product,
+                   positive_int)
 from .sketch import GaussianStream, gaussian_matrix, philox_rng
 
 
@@ -21,7 +22,7 @@ def gen_reciprocal_sum(dims):
     Built in place in one float64 array (the integer sums are exact), so the
     peak memory is the output itself.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = check_dims(dims)
     out = np.zeros(dims)
     for grid in np.ogrid[tuple(slice(1, d + 1) for d in dims)]:
         out += grid
@@ -30,7 +31,7 @@ def gen_reciprocal_sum(dims):
 
 def gen_log_reciprocal(dims):
     """Smooth dense order-3 tensor b[ijk] = 1 / ln(i + 2j + 3k), built in place."""
-    dims = tuple(int(d) for d in dims)
+    dims = check_dims(dims)
     if len(dims) != 3:
         raise ValueError(f"this family is order 3, got order {len(dims)}")
     i, j, k = np.ogrid[1 : dims[0] + 1, 1 : dims[1] + 1, 1 : dims[2] + 1]
@@ -48,7 +49,6 @@ def sparse_outer_sum(dims, terms):
     (indices, values) pair per mode, 0-based indices. Collisions within and
     across terms are summed.
     """
-    dims = tuple(int(d) for d in dims)
     all_coords = []
     all_vals = []
     for weight, vectors in terms:
@@ -82,7 +82,8 @@ def gen_sparse_outer(i_dim, densities=None, seed=0, order=3):
     empty vector in any mode contributes nothing; densities low enough that
     this always happens give the zero tensor.
     """
-    i_dim = int(i_dim)
+    i_dim = positive_int(i_dim, "i_dim")
+    order = positive_int(order, "order")
     if densities is None:
         densities = _OUTER_DENSITIES[:order]
     if len(densities) != order:
@@ -108,10 +109,9 @@ def gen_random_sparse(dims, nnz, seed=0):
     Positions are drawn with rejection of repeats, kept in draw order; values
     are drawn after the support is fixed.
     """
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims, dtype=np.int64))
-    nnz = int(nnz)
-    if not 0 <= nnz <= total:
+    dims = check_dims(dims)
+    total = math.prod(dims)
+    if positive_int(nnz, "nnz", 0) > total:
         raise ValueError(f"nnz must be in 0..{total}, got {nnz}")
     rng = philox_rng(seed, 0)
     chosen = []
@@ -151,14 +151,14 @@ def gen_tucker_noise(spec, dims):
     Stream layout under ``spec.seed``: core on stream 0, factor for mode n on
     stream n, noise on stream N+1; tensors fill first-mode-fastest.
     """
-    dims = tuple(int(d) for d in dims)
-    core_dims = tuple(int(d) for d in spec.core_dims)
+    dims = check_dims(dims)
+    core_dims = spec.core_dims
     if len(core_dims) != len(dims):
         raise ValueError(f"core order {len(core_dims)} does not match dims {dims}")
     for n, (c, d) in enumerate(zip(core_dims, dims), start=1):
-        if not 1 <= c <= d:
+        if positive_int(c, f"core dim for mode {n}") > d:
             raise ValueError(f"core dim for mode {n} must be in 1..{d}, got {c}")
-    core = GaussianStream(spec.seed, 0).normals(int(np.prod(core_dims)))
+    core = GaussianStream(spec.seed, 0).normals(math.prod(core_dims))
     signal = core.reshape(core_dims, order="F")
     for n in range(1, len(dims) + 1):
         b = gaussian_matrix(GaussianStream(spec.seed, n), dims[n - 1], core_dims[n - 1])
@@ -167,7 +167,7 @@ def gen_tucker_noise(spec, dims):
         return signal, 0.0
     noise = (
         GaussianStream(spec.seed, len(dims) + 1)
-        .normals(int(np.prod(dims)))
+        .normals(math.prod(dims))
         .reshape(dims, order="F")
     )
     beta = frob_norm(signal) / (frob_norm(noise) * 10.0 ** (spec.snr_db / 20.0))
@@ -184,7 +184,7 @@ def generate(family, dims, seed=0, nnz=3000, densities=None, core_dims=None, snr
     ``densities`` for sparse_outer (cubic dims only), and ``core_dims`` and
     ``snr_db`` for tucker_noise, whose noise scale is dropped.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = check_dims(dims)
     if family == "reciprocal_sum":
         return gen_reciprocal_sum(dims)
     if family == "log_reciprocal":

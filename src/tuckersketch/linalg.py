@@ -15,6 +15,8 @@ over the tensor.
 
 import numpy as np
 
+from .core import positive_int
+
 RANK_RTOL = 1e-12
 
 
@@ -85,8 +87,7 @@ def delta_tail(s, k):
         raise ValueError("singular values must be a 1-d sequence")
     if np.any(np.diff(s) > 0):
         raise ValueError("singular values must be non-increasing")
-    if k < 1:
-        raise ValueError(f"tail index must be >= 1, got {k}")
+    k = positive_int(k, "tail index")
     if k > s.size:
         return 0.0
     return float(np.linalg.norm(s[k - 1:]))

@@ -39,42 +39,40 @@ import numpy as np
 # imports lazily inside the first timed draw
 import numpy.random  # noqa: F401
 
-from .core import (SparseTensor, check_rank, contraction_order, dims_of, memory_axes,
-                   mode_product, positive_int, unfold)
+from .core import (SparseTensor, check_dims, check_rank, contraction_order, dims_of,
+                   memory_axes, mode_product, positive_int, unfold)
 
 
 def philox_rng(seed, stream_id):
-    """numpy Generator over Philox keyed by (seed, stream_id)."""
-    if seed < 0 or stream_id < 0:
-        raise ValueError(f"seed and stream id must be nonnegative, got {seed}, {stream_id}")
-    key = np.array([seed, stream_id], dtype=np.uint64)
+    """numpy Generator over Philox keyed by (seed, stream_id), integers >= 0."""
+    key = np.array([positive_int(seed, "seed", 0), positive_int(stream_id, "stream id", 0)],
+                   dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 class GaussianStream:
     """Deterministic stream of standard normal variates.
 
-    The variate sequence depends only on ``(seed, stream_id)``; splitting one
-    request into several yields the same sequence (odd leftovers are buffered).
+    The variate sequence depends only on ``(seed, stream_id)``, integers >= 0
+    (2.7, ``True`` or ``'3'`` raise ``ValueError``); splitting one request into
+    several yields the same sequence (odd leftovers are buffered).
     """
 
     def __init__(self, seed, stream_id=0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = positive_int(seed, "seed", 0)
+        self.stream_id = positive_int(stream_id, "stream id", 0)
         self._gen = philox_rng(self.seed, self.stream_id)
         self._carry = None
 
     def fork(self, tag):
         """Child stream with id ``256 * stream_id + tag`` (tag in 0..255)."""
-        if not 0 <= tag < 256:
+        if positive_int(tag, "fork tag", 0) > 255:
             raise ValueError(f"fork tag must be in 0..255, got {tag}")
         return GaussianStream(self.seed, 256 * self.stream_id + tag)
 
     def normals(self, n):
         """Next ``n`` variates of the stream."""
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"variate count must be >= 0, got {n}")
+        n = positive_int(n, "variate count", 0)
         filled = 1 if self._carry is not None and n > 0 else 0
         pairs = (n - filled + 1) // 2
         # the uniforms are drawn into the output and transformed in place;
@@ -130,10 +128,8 @@ class SketchPlan:
             raise ValueError("target rank must name at least one mode")
         rank = tuple(positive_int(r, "target rank entry") for r in self.target_rank)
         object.__setattr__(self, "target_rank", rank)
-        if self.oversampling < 0:
-            raise ValueError(f"oversampling must be >= 0, got {self.oversampling}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("oversampling", "seed"):
+            object.__setattr__(self, name, positive_int(getattr(self, name), name, 0))
         order = self.order or tuple(range(1, n_modes + 1))
         object.__setattr__(self, "order", tuple(positive_int(p, "order entry") for p in order))
         if sorted(self.order) != list(range(1, n_modes + 1)):
@@ -170,13 +166,15 @@ def default_plan(dims, target_rank, oversampling=10, seed=0):
     The processing order visits modes by non-increasing dimension, ties by
     mode index. ``target_rank`` must be one integer in 1..I_n per mode
     (:func:`~tuckersketch.core.check_rank`; a rank above I_n raises
-    :class:`~tuckersketch.core.RankTooLargeError`). Raises ``ValueError`` for
+    :class:`~tuckersketch.core.RankTooLargeError`), ``dims`` integers >= 1
+    and ``oversampling`` and ``seed`` integers >= 0; a bool, float or string
+    among them raises ``ValueError`` naming it. Raises ``ValueError`` for
     an order-1 tensor, which has no other mode to sketch. The widths usually
     sit outside the regime where the sketch-accuracy guarantee applies, which
     marks the run as heuristic, not wrong; :func:`guarantee_gaps` lists the
     modes and reasons.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = check_dims(dims)
     n_modes = len(dims)
     if n_modes < 2:
         raise ValueError(
@@ -184,9 +182,9 @@ def default_plan(dims, target_rank, oversampling=10, seed=0):
             "ran_tucker, kr_tucker, hooi and truncated_hosvd accept order 1"
         )
     target_rank = check_rank(dims, target_rank)
+    k = positive_int(oversampling, "oversampling", 0)
     sketch_dims = {}
     for n, mu in enumerate(target_rank, start=1):
-        k = oversampling
         m_target = mu + k if mu <= 1 else max(mu + k, (1.0 + 1.0 / math.log(mu)) * mu)
         if n_modes == 3:
             root = math.sqrt(m_target)
@@ -199,7 +197,7 @@ def default_plan(dims, target_rank, oversampling=10, seed=0):
             ell[-1] += 1
         sketch_dims[n] = tuple(ell)
     order = tuple(sorted(range(1, n_modes + 1), key=lambda n: (-dims[n - 1], n)))
-    return SketchPlan(target_rank, oversampling, sketch_dims, order, seed)
+    return SketchPlan(target_rank, k, sketch_dims, order, seed)
 
 
 def guarantee_gaps(plan, dims):
@@ -208,6 +206,7 @@ def guarantee_gaps(plan, dims):
     The guarantee needs every L_{n,m} > (1 + 1/ln(sqrt(mu))) * sqrt(mu) and the
     total width below min(I_n, prod of the other dims). Returns {mode: reason}.
     """
+    dims = check_dims(dims)
     gaps = {}
     for n, mu in enumerate(plan.target_rank, start=1):
         reasons = []
@@ -219,7 +218,7 @@ def guarantee_gaps(plan, dims):
             bad = [ell for ell in plan.sketch_dims[n] if ell <= bound]
             if bad:
                 reasons.append(f"factor(s) {bad} <= {bound:.2f}")
-        other = math.prod(int(d) for m, d in enumerate(dims, start=1) if m != n)
+        other = math.prod(d for m, d in enumerate(dims, start=1) if m != n)
         if plan.width(n) >= min(dims[n - 1], other):
             reasons.append(f"width {plan.width(n)} >= min(I_n, prod others)")
         if reasons:

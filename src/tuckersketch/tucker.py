@@ -314,7 +314,7 @@ def _basis_of_sketch(b, mu):
 def _qr_basis(sketcher, target_rank, lprime, oversampling, seed):
     """QR basis of a one-matrix sketch of width ``lprime`` (scalar or per mode)."""
     if lprime is None:
-        lprime = [mu + oversampling for mu in target_rank]
+        lprime = [mu + positive_int(oversampling, "oversampling", 0) for mu in target_rank]
     elif np.isscalar(lprime):
         lprime = [lprime] * len(target_rank)
     lprimes = [positive_int(x, "sketch width") for x in lprime]
@@ -453,8 +453,7 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     """
     a, target_rank = _input(a, target_rank)
     dims = dims_of(a)
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    max_iters = positive_int(max_iters, "max_iters")
     if init == "hosvd":
         factors = truncated_hosvd(a, target_rank).factors
     elif init == "random":
@@ -470,9 +469,8 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     factors = [None if mu == d else q for q, d, mu in zip(factors, dims, target_rank)]
 
     def basis(c, n, mu):
-        w = _project(c, [None] * n + factors[n:])
-        factors[n - 1], sig = linalg.left_singular(_memory_unfolding(w, n), mu)
-        return factors[n - 1], linalg.numerical_rank(sig)
+        factors[n - 1], rank = _exact_basis(_project(c, [None] * n + factors[n:]), n, mu)
+        return factors[n - 1], rank
 
     norm_a = frob_norm(a)
     fit_prev = -math.inf
@@ -517,16 +515,23 @@ def decompose(
     ``a`` and ``target_rank`` are checked by the algorithm against the
     input contract of :mod:`tuckersketch.core`: a :class:`SparseTensor` or
     a real array of order >= 1, and one integer in 1..I_n per mode.
-    Anything else raises ``ValueError`` naming the bad input, and a rank
-    above I_n raises :class:`RankTooLargeError`.
+    ``seed`` and, where it is used, ``oversampling`` are integers >= 0, and
+    hooi's ``max_iters`` one >= 1. Anything else raises ``ValueError`` naming
+    the bad input, and a rank above I_n raises :class:`RankTooLargeError`. A
+    ``plan`` carries its own seed and oversampling, which win over
+    ``seed`` and ``oversampling``; ``target_rank`` must equal its rank.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; valid names: {', '.join(ALGORITHMS)}"
         )
+    seed = positive_int(seed, "seed", 0)
     if algorithm in ("tucker_svd_seq", "tucker_svd_batch"):
+        dims = dims_of(check_tensor(a))
         if plan is None:
-            plan = default_plan(dims_of(check_tensor(a)), target_rank, oversampling, seed)
+            plan = default_plan(dims, target_rank, oversampling, seed)
+        elif (rank := check_rank(dims, target_rank)) != plan.target_rank:
+            raise ValueError(f"target rank {rank} differs from the plan's {plan.target_rank}")
         fn = tucker_svd_seq if algorithm == "tucker_svd_seq" else tucker_svd_batch
         return fn(a, plan)
     if algorithm == "hooi":

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuckersketch import core, sketch
+import tuckersketch as ts
+from tuckersketch import bench, core, generators, linalg, sketch
 
 
 def cube222():
@@ -342,3 +343,132 @@ def test_transposed_views_are_contracted_without_a_copy(axes):
         assert peak < 0.2 * t.nbytes
         ref = core.fold(b @ core.unfold(t, mode), mode, out.shape)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+
+# ---- the integer rule ----
+
+A678 = np.random.default_rng(0).standard_normal((6, 7, 8))
+WIDE = {n: (4, 4) for n in (1, 2, 3)}
+
+# entry -> (call taking the count v, what the error names, out-of-range values);
+# SketchPlan's counts and hooi's max_iters have their own parametrized tests
+COUNT_ENTRIES = {
+    **{
+        f"decompose {alg} seed": (
+            lambda v, alg=alg: ts.decompose(A678, alg, (2, 2, 2), seed=v), "seed", (-1,)
+        )
+        for alg in ts.ALGORITHMS
+    },
+    **{
+        f"decompose {alg} oversampling": (
+            lambda v, alg=alg: ts.decompose(A678, alg, (2, 2, 2), oversampling=v),
+            "oversampling",
+            (-1,),
+        )
+        for alg in ("tucker_svd_seq", "tucker_svd_batch", "ran_tucker", "kr_tucker")
+    },
+    "default_plan dims": (
+        lambda v: sketch.default_plan((v, 7, 8), (2, 2, 2)), "dim for mode 1", (0,)
+    ),
+    "default_plan oversampling": (
+        lambda v: sketch.default_plan((6, 7, 8), (2, 2, 2), v), "oversampling", (-1,)
+    ),
+    "default_plan seed": (
+        lambda v: sketch.default_plan((6, 7, 8), (2, 2, 2), seed=v), "seed", (-1,)
+    ),
+    "guarantee_gaps dims": (
+        lambda v: sketch.guarantee_gaps(sketch.SketchPlan((2, 2, 2), 0, WIDE), (6, v, 8)),
+        "dim for mode 2",
+        (0,),
+    ),
+    "GaussianStream seed": (lambda v: sketch.GaussianStream(v), "seed", (-1,)),
+    "GaussianStream stream id": (lambda v: sketch.GaussianStream(1, v), "stream id", (-1,)),
+    "normals": (lambda v: sketch.GaussianStream(1).normals(v), "variate count", (-1,)),
+    "fork": (lambda v: sketch.GaussianStream(1).fork(v), "fork tag", (-1, 256)),
+    "philox_rng seed": (lambda v: sketch.philox_rng(v, 0), "seed", (-1,)),
+    "philox_rng stream id": (lambda v: sketch.philox_rng(0, v), "stream id", (-1,)),
+    "SparseTensor dims": (
+        lambda v: core.SparseTensor((v, 7), [[0, 0]], [1.0]), "dim for mode 1", (0,)
+    ),
+    "accumulate_sparse dims": (
+        lambda v: core.accumulate_sparse((6, v), [[0, 0]], [1.0]), "dim for mode 2", (0,)
+    ),
+    "fold dims": (lambda v: core.fold(np.zeros((6, 56)), 1, (6, 7, v)), "dim for mode 3", (0,)),
+    "gen_reciprocal_sum dims": (
+        lambda v: generators.gen_reciprocal_sum((v, 6, 6)), "dim for mode 1", (0,)
+    ),
+    "gen_log_reciprocal dims": (
+        lambda v: generators.gen_log_reciprocal((6, 6, v)), "dim for mode 3", (0,)
+    ),
+    "gen_sparse_outer i_dim": (lambda v: generators.gen_sparse_outer(v), "i_dim", (0,)),
+    "gen_sparse_outer seed": (lambda v: generators.gen_sparse_outer(6, seed=v), "seed", (-1,)),
+    "gen_random_sparse dims": (
+        lambda v: generators.gen_random_sparse((6, v, 6), 10), "dim for mode 2", (0,)
+    ),
+    "gen_random_sparse nnz": (
+        lambda v: generators.gen_random_sparse((6, 6, 6), v), "nnz", (-1, 217)
+    ),
+    "gen_random_sparse seed": (
+        lambda v: generators.gen_random_sparse((6, 6, 6), 10, seed=v), "seed", (-1,)
+    ),
+    "gen_tucker_noise dims": (
+        lambda v: generators.gen_tucker_noise(generators.NoisySpec((2, 2, 2), 20.0), (6, v, 6)),
+        "dim for mode 2",
+        (0,),
+    ),
+    "gen_tucker_noise core dims": (
+        lambda v: generators.gen_tucker_noise(generators.NoisySpec((v, 2, 2), 20.0), (6, 6, 6)),
+        "core dim for mode 1",
+        (0, 7),
+    ),
+    "gen_tucker_noise seed": (
+        lambda v: generators.gen_tucker_noise(generators.NoisySpec((2, 2, 2), 20.0, v), (6,) * 3),
+        "seed",
+        (-1,),
+    ),
+    "generate dims": (
+        lambda v: generators.generate("reciprocal_sum", (6, 6, v)), "dim for mode 3", (0,)
+    ),
+    "generate nnz": (
+        lambda v: generators.generate("random_sparse", (6, 6, 6), nnz=v), "nnz", (-1,)
+    ),
+    "generate seed": (
+        lambda v: generators.generate("random_sparse", (6, 6, 6), v, 10), "seed", (-1,)
+    ),
+    "probe_bound trials": (
+        lambda v: bench.probe_bound(A678, sketch.default_plan((6, 7, 8), (2, 2, 2)), v),
+        "trials",
+        (0,),
+    ),
+    "delta_tail k": (lambda v: linalg.delta_tail([3.0, 2.0, 1.0], v), "tail index", (0,)),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [(e, v) for e, (_, _, bad) in COUNT_ENTRIES.items() for v in (2.7, True, "2") + bad],
+)
+def test_counts_are_refused_by_name_not_truncated(entry, value):
+    call, names, _ = COUNT_ENTRIES[entry]
+    with pytest.raises(ValueError, match=names):
+        call(value)
+
+
+def test_numpy_integers_are_counts():
+    i64 = np.int64
+    dims = tuple(i64(d) for d in (6, 7, 8))
+    assert generators.gen_reciprocal_sum(dims).tobytes() == generators.gen_reciprocal_sum(
+        (6, 7, 8)).tobytes()
+    for alg in ts.ALGORITHMS:
+        got = ts.decompose(A678, alg, (2, 2, 2), seed=i64(3), oversampling=i64(4),
+                           max_iters=i64(2))
+        want = ts.decompose(A678, alg, (2, 2, 2), seed=3, oversampling=4, max_iters=2)
+        assert got.core.tobytes() == want.core.tobytes()
+    stream = sketch.GaussianStream(i64(1), i64(2)).fork(i64(3))
+    assert stream.normals(i64(5)).tobytes() == sketch.GaussianStream(1, 515).normals(5).tobytes()
+    sparse = generators.gen_random_sparse(dims, i64(10), seed=i64(1))
+    assert sparse.dims == (6, 7, 8) and sparse.nnz == 10
+    assert core.SparseTensor(dims, sparse.coords, sparse.values).dims == (6, 7, 8)
+    plan = sketch.default_plan(A678.shape, (2, 2, 2), i64(3), i64(4))
+    assert (plan.oversampling, plan.seed) == (3, 4)
+    assert bench.probe_bound(A678, plan, i64(2)).trials == 2

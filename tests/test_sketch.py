@@ -177,17 +177,26 @@ def test_plan_validation():
 
 
 @pytest.mark.parametrize(
-    "rank, dims, order, names",
+    "rank, dims, order, oversampling, seed, names",
     [
-        ((2.7, 2, 2), (3, 3), (), "target rank entry .*2.7"),
-        ((2, 2, True), (3, 3), (), "target rank entry .*True"),
-        ((2, 2, 2), (3, 2.5), (), "sketch dim for mode .*2.5"),
-        ((2, 2, 2), (3, 3), (1.0, 2, 3), "order entry .*1.0"),
+        ((2.7, 2, 2), (3, 3), (), 0, 0, "target rank entry .*2.7"),
+        ((2, 2, True), (3, 3), (), 0, 0, "target rank entry .*True"),
+        ((2, 2, 2), (3, 2.5), (), 0, 0, "sketch dim for mode .*2.5"),
+        ((2, 2, 2), (3, 3), (1.0, 2, 3), 0, 0, "order entry .*1.0"),
+        ((2, 2, 2), (3, 3), (), 2.5, 0, "oversampling .*2.5"),
+        ((2, 2, 2), (3, 3), (), True, 0, "oversampling .*True"),
+        ((2, 2, 2), (3, 3), (), "2", 0, "oversampling .*'2'"),
+        ((2, 2, 2), (3, 3), (), -1, 0, "oversampling .*-1"),
+        ((2, 2, 2), (3, 3), (), 0, 2.7, "seed .*2.7"),
+        ((2, 2, 2), (3, 3), (), 0, True, "seed .*True"),
+        ((2, 2, 2), (3, 3), (), 0, "2", "seed .*'2'"),
+        ((2, 2, 2), (3, 3), (), 0, -1, "seed .*-1"),
     ],
 )
-def test_plan_refuses_non_integers_instead_of_truncating(rank, dims, order, names):
+def test_plan_refuses_non_integers_instead_of_truncating(rank, dims, order, oversampling, seed,
+                                                         names):
     with pytest.raises(ValueError, match=names):
-        sketch.SketchPlan(rank, 0, {n: dims for n in (1, 2, 3)}, order=order)
+        sketch.SketchPlan(rank, oversampling, {n: dims for n in (1, 2, 3)}, order, seed)
 
 
 def test_plan_keeps_its_own_dims_and_compares_them():

@@ -132,10 +132,12 @@ def test_hooi_random_init_draws_nothing_for_a_full_rank_mode(monkeypatch):
     assert shapes == [(12, 4), (16, 5)]
 
 
-@pytest.mark.parametrize("max_iters", [0, -1])
+@pytest.mark.parametrize("max_iters", [0, -1, 2.5, True, "2"])
 def test_hooi_needs_at_least_one_sweep(max_iters):
     with pytest.raises(ValueError, match="max_iters"):
         ts.hooi(ts.gen_reciprocal_sum((5, 6, 7)), (2, 2, 2), max_iters=max_iters)
+    with pytest.raises(ValueError, match="max_iters"):
+        ts.decompose(ts.gen_reciprocal_sum((5, 6, 7)), "hooi", (2, 2, 2), max_iters=max_iters)
 
 
 def test_sparse_hosvd_takes_the_dense_rank_rule():
@@ -313,6 +315,25 @@ def test_inputs_outside_the_contract_are_refused_by_name(alg, case, sparse, dire
             getattr(ts, alg)(a, default_plan((6, 7, 8), rank))
         else:
             getattr(ts, alg)(a, rank)
+
+
+@pytest.mark.parametrize("alg", ["tucker_svd_seq", "tucker_svd_batch"])
+@pytest.mark.parametrize(
+    "rank, names",
+    [
+        ((3, 3, 3), r"target rank \(3, 3, 3\) differs from the plan's \(2, 2, 2\)"),
+        ((3, 3, 3, 3), "4 entries for an order-3 tensor"),
+        ("junk", "target rank for mode 1 .*'j'"),
+    ],
+)
+def test_a_plan_refuses_another_target_rank(alg, rank, names):
+    a = np.random.default_rng(0).standard_normal((6, 7, 8))
+    plan = default_plan(a.shape, (2, 2, 2), seed=1)
+    with pytest.raises(ValueError, match=names):
+        ts.decompose(a, alg, rank, plan=plan)
+    # the plan's seed and oversampling win over decompose's
+    got = ts.decompose(a, alg, (2, 2, 2), oversampling=3, seed=7, plan=plan)
+    assert got.core.tobytes() == getattr(ts, alg)(a, plan).core.tobytes()
 
 
 @pytest.mark.parametrize("lprime", [7.5, (7, 7.0, 7), (7, True, 7)])
