@@ -7,6 +7,11 @@ R diagonal nonnegative. Rank decisions use the threshold 1e-12 * sigma_1.
 :func:`left_singular` gives the left singular vectors of a wide matrix, such
 as an unfolding, from the R factor of its transpose's QR, so the right
 singular vectors are never formed; :func:`svd` serves the small sketches.
+That R comes from a TSQR when the transpose is narrow: its rows are cut into
+blocks of 64 KiB, one batched QR takes every block's R, and the stacked R
+factors, with the leftover rows, are factored the same way until fewer than
+two blocks remain. A transpose wider than 64 columns, whose block could not
+hold twice its width in rows, or shorter than two blocks takes one QR.
 Every factorization rejects matrices holding NaN or infinity with a
 ``ValueError``. Every decomposition factorizes a sketch or an unfolding of its
 input, so this is where a non-finite tensor is caught, without a separate pass
@@ -18,6 +23,8 @@ import numpy as np
 from .core import positive_int
 
 RANK_RTOL = 1e-12
+# entries per block of left_singular's TSQR (64 KiB of doubles)
+_BLOCK = 1 << 13
 
 
 def svd(a):
@@ -36,22 +43,34 @@ def svd(a):
 def left_singular(a, width):
     """Leading ``width`` left singular vectors of ``a`` and all its singular values.
 
-    Takes the R factor of the Householder QR of ``a.T`` and the SVD of the
-    small ``R.T``: since ``a = R.T @ Q.T`` with orthonormal ``Q``, both share
-    their left singular vectors and singular values, and the QR is backward
-    stable, so the accuracy is the SVD's. Neither ``Q`` nor any right
-    singular vector is formed. Returns ``(u, s)`` with ``u`` of shape
-    (rows, ``width``), signs as in :func:`svd`, and ``s`` the
-    ``min(a.shape)`` singular values, non-increasing. A ``width`` above
-    ``min(a.shape)`` completes ``u`` with an orthonormal basis of the
-    complement of the range.
+    Takes an R factor of the QR of ``a.T`` and the SVD of the small ``R.T``:
+    since ``a = R.T @ Q.T`` with orthonormal ``Q``, both share their left
+    singular vectors and singular values, and the QR is backward stable, so
+    the accuracy is the SVD's. Neither ``Q`` nor any right singular vector
+    is formed. R is that of a TSQR (Demmel, Grigori, Hoemmen and Langou
+    2012): with I = ``a.shape[0]``, ``a.T`` is cut into blocks of
+    ``_BLOCK // I`` rows, one batched Householder QR gives every block's R,
+    and the stacked R factors plus the ragged tail are reduced the same way
+    until fewer than two blocks remain, then take one last QR. When a block
+    cannot hold 2·I rows (I > 64), or ``a.T`` is shorter than two blocks,
+    that last QR is the only one, the single Householder QR of ``a.T``.
+    Returns ``(u, s)`` with ``u`` of shape (rows, ``width``), signs as in
+    :func:`svd`, and ``s`` the ``min(a.shape)`` singular values,
+    non-increasing. A ``width`` above ``min(a.shape)`` completes ``u`` with
+    an orthonormal basis of the complement of the range.
     """
     a = check_finite(a)
     if not 1 <= width <= a.shape[0]:
         raise ValueError(
             f"basis width must be in 1..{a.shape[0]} for shape {a.shape}, got {width}"
         )
-    r = np.linalg.qr(a.T, mode="r")
+    m, i = a.T, a.shape[0]
+    rows = _BLOCK // i
+    while rows >= 2 * i and (k := len(m) // rows) >= 2:
+        # the k leading blocks are a view for a C- or F-contiguous a
+        r = np.linalg.qr(m[: k * rows].reshape(k, rows, i), mode="r")
+        m = np.concatenate([r.reshape(-1, i), m[k * rows :]])
+    r = np.linalg.qr(m, mode="r")
     u, s, _ = np.linalg.svd(r.T, full_matrices=width > min(a.shape))
     u = u[:, :width]
     return u * column_sign_flips(u), s

@@ -19,6 +19,7 @@ see :mod:`tuckersketch.sketch` for the stream derivation.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -402,6 +403,7 @@ def ran_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
     (prod of other dims) x lprime Gaussian, and the basis comes from QR
     truncated to mu_n columns. ``lprime`` defaults to mu_n + oversampling.
     """
+    seed = positive_int(seed, "seed", 0)
     a, target_rank = _input(a, target_rank)
     basis = _qr_basis(sketch_full_gaussian, target_rank, lprime, oversampling, seed)
     return _tucker(a, target_rank, basis)
@@ -414,6 +416,7 @@ def kr_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
     Kronecker chain of per-mode I_m x lprime Gaussians, so only
     sum(I_m) * lprime variates are drawn per mode.
     """
+    seed = positive_int(seed, "seed", 0)
     a, target_rank = _input(a, target_rank)
     basis = _qr_basis(sketch_khatri_rao, target_rank, lprime, oversampling, seed)
     return _tucker(a, target_rank, basis)
@@ -445,12 +448,16 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     vectors. The loop's last shrink leaves the core, so the fit
     (1 - relative error) comes from its norm, and a sweep reads the full
     tensor twice rather than once per mode. Sweeps stop when the fit
-    improves by less than ``tol`` or after ``max_iters`` (at least 1).
+    improves by less than ``tol`` (a real number, not NaN; ``-inf`` runs every
+    sweep) or after ``max_iters`` (at least 1).
     ``init`` is ``"random"`` (orthonormalized Gaussian factors drawn from
     (seed, mode) streams) or ``"hosvd"``. A mode at full rank is never
     refined and keeps an identity factor, as in every other algorithm;
     ``rank_warnings`` are those of the last sweep.
     """
+    seed = positive_int(seed, "seed", 0)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or math.isnan(tol):
+        raise ValueError(f"tol must be a real number, not NaN, got {tol!r}")
     a, target_rank = _input(a, target_rank)
     dims = dims_of(a)
     max_iters = positive_int(max_iters, "max_iters")
@@ -515,8 +522,10 @@ def decompose(
     ``a`` and ``target_rank`` are checked by the algorithm against the
     input contract of :mod:`tuckersketch.core`: a :class:`SparseTensor` or
     a real array of order >= 1, and one integer in 1..I_n per mode.
-    ``seed`` and, where it is used, ``oversampling`` are integers >= 0, and
-    hooi's ``max_iters`` one >= 1. Anything else raises ``ValueError`` naming
+    ``seed`` and ``oversampling`` are integers >= 0 and ``lprime``, when
+    given, one integer >= 1 or one per mode, whether or not ``algorithm``
+    uses them; hooi's ``max_iters`` is an integer >= 1 and its ``tol`` a
+    real number other than NaN. Anything else raises ``ValueError`` naming
     the bad input, and a rank above I_n raises :class:`RankTooLargeError`. A
     ``plan`` carries its own seed and oversampling, which win over
     ``seed`` and ``oversampling``; ``target_rank`` must equal its rank.
@@ -526,6 +535,10 @@ def decompose(
             f"unknown algorithm {algorithm!r}; valid names: {', '.join(ALGORITHMS)}"
         )
     seed = positive_int(seed, "seed", 0)
+    oversampling = positive_int(oversampling, "oversampling", 0)
+    if lprime is not None:
+        for x in [lprime] if np.isscalar(lprime) else lprime:
+            positive_int(x, "sketch width")
     if algorithm in ("tucker_svd_seq", "tucker_svd_batch"):
         dims = dims_of(check_tensor(a))
         if plan is None:

@@ -132,6 +132,14 @@ def test_exit_code_2_on_hooi_without_sweeps(tmp_path, capsys):
     assert "max_iters" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_a_nan_tol(tmp_path, capsys):
+    p = tmp_path / "t.txt"
+    ts.write_tensor(ts.gen_reciprocal_sum((5, 6, 7)), p)
+    code = run(["decompose", str(p), "--algorithm", "hooi", "--rank", "2", "--tol", "nan"])
+    assert code == 2
+    assert "tol" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
     assert run(["decompose", str(tmp_path / "nope.txt"), "--algorithm", "hooi",
                 "--rank", "2"]) == 2

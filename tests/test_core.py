@@ -365,8 +365,23 @@ COUNT_ENTRIES = {
             "oversampling",
             (-1,),
         )
-        for alg in ("tucker_svd_seq", "tucker_svd_batch", "ran_tucker", "kr_tucker")
+        for alg in ts.ALGORITHMS
     },
+    # checked whether or not the algorithm uses it
+    **{
+        f"decompose {alg} lprime": (
+            lambda v, alg=alg: ts.decompose(A678, alg, (2, 2, 2), lprime=v),
+            "sketch width",
+            (0,),
+        )
+        for alg in ts.ALGORITHMS
+    },
+    # checked at entry, also where no Gaussian is drawn
+    "ran_tucker seed": (lambda v: ts.ran_tucker(A678, A678.shape, seed=v), "seed", (-1,)),
+    "kr_tucker seed": (lambda v: ts.kr_tucker(A678, A678.shape, seed=v), "seed", (-1,)),
+    "hooi seed": (
+        lambda v: ts.hooi(A678, (2, 2, 2), seed=v, init="hosvd"), "seed", (-1,)
+    ),
     "default_plan dims": (
         lambda v: sketch.default_plan((v, 7, 8), (2, 2, 2)), "dim for mode 1", (0,)
     ),

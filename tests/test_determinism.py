@@ -54,8 +54,9 @@ def fingerprints(threads):
 def test_results_do_not_depend_on_the_blas_thread_count():
     one, two = fingerprints(1), fingerprints(2)
     assert one.keys() == two.keys()
-    # left out: the HOSVD's blocked QR of the 14400 x 120 unfolding rounds
-    # differently in its threaded updates (the only cell that differs)
-    differ = sorted(k for k in one if one[k] != two[k] and not k.startswith("truncated_hosvd"))
+    # the HOSVD's single QR of the 14400 x 120 unfolding (too wide for
+    # left_singular's blocks) rounds differently in its threaded updates
+    left_out = "truncated_hosvd (120, 120, 120) C"
+    differ = sorted(k for k in one if one[k] != two[k] and k != left_out)
     assert differ == []
     assert len(one) == 6 * len(ts.ALGORITHMS)

@@ -203,3 +203,92 @@ def test_left_singular_completes_a_basis_wider_than_the_rank():
     np.testing.assert_allclose(u[:, :2] @ (u[:, :2].T @ a), a, atol=1e-12)
     with pytest.raises(ValueError, match="basis width"):
         linalg.left_singular(a, 11)
+
+
+# ---- the TSQR of left_singular ----
+
+
+def qr_shapes(monkeypatch):
+    """Shapes of every ``np.linalg.qr`` input from here on."""
+    shapes, qr = [], np.linalg.qr
+
+    def spy(m, mode="reduced"):
+        shapes.append(m.shape)
+        return qr(m, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    return shapes
+
+
+def graded(rows, cols, rank, seed):
+    """``rows x cols`` of the given rank, singular values 1 down to 1e-3."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((rows, rank)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
+    return (u * np.logspace(0, -3, rank)) @ v.T
+
+
+def single_qr_left_singular(a, width):
+    """``left_singular`` as one Householder QR of ``a.T``, no blocks."""
+    r = np.linalg.qr(a.T, mode="r")
+    u, s, _ = np.linalg.svd(r.T, full_matrices=width > min(a.shape))
+    u = u[:, :width]
+    return u * linalg.column_sign_flips(u), s
+
+
+def assert_matches_the_svd(a, u, s, rank):
+    u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
+    assert np.abs(s - s_ref).max() <= 1e-14 * s_ref[0]
+    assert linalg.numerical_rank(s) == rank
+    j = min(u.shape[1], rank)
+    proj = u[:, :j] @ u[:, :j].T - u_ref[:, :j] @ u_ref[:, :j].T
+    assert np.abs(proj).max() <= 1e-10
+    np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("width", [1, 2, 5, 12, 31, 40, 64])
+def test_left_singular_factors_narrow_matrices_in_blocks(monkeypatch, width, order):
+    rows = linalg._BLOCK // width
+    # three blocks and a ragged tail of 7 rows
+    a = np.asarray(graded(width, 3 * rows + 7, width, seed=width), order=order)
+    shapes = qr_shapes(monkeypatch)
+    u, s = linalg.left_singular(a, min(width, 5))
+    assert shapes[0] == (3, rows, width)
+    assert shapes[-1] == (3 * width + 7, width)
+    assert_matches_the_svd(a, u, s, width)
+
+
+@pytest.mark.parametrize("width, cols, levels", [(16, 40000, 2), (64, 5000, 5)])
+def test_left_singular_reduces_the_stacked_r_factors_again(monkeypatch, width, cols, levels):
+    a = graded(width, cols, width, seed=cols)
+    shapes = qr_shapes(monkeypatch)
+    u, s = linalg.left_singular(a, 8)
+    rows = linalg._BLOCK // width
+    batched = [sh for sh in shapes if len(sh) == 3]
+    assert len(batched) == levels and len(shapes) == levels + 1
+    assert all(sh[1:] == (rows, width) and sh[0] >= 2 for sh in batched)
+    assert shapes[-1][0] < 2 * rows
+    assert_matches_the_svd(a, u, s, width)
+
+
+def test_left_singular_blocks_a_rank_deficient_matrix(monkeypatch):
+    a = graded(20, 3 * (linalg._BLOCK // 20) + 5, 7, seed=4)
+    shapes = qr_shapes(monkeypatch)
+    u, s = linalg.left_singular(a, 10)
+    assert len(shapes[0]) == 3
+    assert_matches_the_svd(a, u, s, 7)
+    # the completion past the rank is orthogonal to the range
+    assert np.abs(u[:, 7:].T @ a).max() <= 1e-12
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("width, cols", [(65, 3000), (100, 2000), (12, 1300)])
+def test_left_singular_takes_one_qr_where_blocks_do_not_fit(monkeypatch, width, cols, order):
+    # above 64 rows no block holds twice the width; 12 x 1300 has one block
+    a = np.asarray(graded(width, cols, width, seed=cols), order=order)
+    u_ref, s_ref = single_qr_left_singular(a, 6)
+    shapes = qr_shapes(monkeypatch)
+    u, s = linalg.left_singular(a, 6)
+    assert shapes == [(cols, width)]
+    assert u.tobytes() == u_ref.tobytes() and s.tobytes() == s_ref.tobytes()

@@ -140,6 +140,15 @@ def test_hooi_needs_at_least_one_sweep(max_iters):
         ts.decompose(ts.gen_reciprocal_sum((5, 6, 7)), "hooi", (2, 2, 2), max_iters=max_iters)
 
 
+@pytest.mark.parametrize("tol", [math.nan, "x", True, None, 1j])
+def test_hooi_tol_is_a_real_number(tol):
+    a = np.random.default_rng(0).standard_normal((6, 7, 8))
+    with pytest.raises(ValueError, match="tol"):
+        ts.hooi(a, (2, 2, 2), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        ts.decompose(a, "hooi", (2, 2, 2), tol=tol)
+
+
 def test_sparse_hosvd_takes_the_dense_rank_rule():
     # rank 1: the Gram eigenvalues' roundoff gives sigma_2 / sigma_1 near
     # 1e-8 after the square root, which must not pass for rank
