@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import generators
-from .core import SparseTensor, dims_of, frob_norm, mode_product, positive_int, unfold
+from .core import SparseTensor, dims_of, frob_norm, mode_product, mode_view, positive_int
 from .generators import FAMILIES
 from .linalg import delta_tail
 from .tucker import ALGORITHMS, decompose, rlne, tucker_svd_seq
@@ -139,11 +139,24 @@ def _family_instances(family, config):
 
 
 def mode_singular_values(a):
-    """Full singular value list of every mode unfolding (1-based mode order)."""
+    """Full singular value list of every mode unfolding (1-based mode order).
+
+    Neither the order of the columns nor a zero column changes the singular
+    values: a dense unfolding is taken with its columns in memory order
+    (:func:`~tuckersketch.core.mode_view`), a view when the mode is at either
+    end of memory, and a sparse one as its nonzero columns only, the
+    missing singular values being zeros.
+    """
     out = []
     for n in range(1, len(dims_of(a)) + 1):
-        mat = a.unfold_csr(n).toarray() if isinstance(a, SparseTensor) else unfold(a, n)
-        out.append(np.linalg.svd(mat, compute_uv=False))
+        if isinstance(a, SparseTensor):
+            x = a.unfold_csr(n)
+            s = np.linalg.svd(x[:, np.unique(x.indices)].toarray(), compute_uv=False)
+            out.append(np.pad(s, (0, min(x.shape) - s.size)))
+        else:
+            v, _ = mode_view(np.asarray(a, dtype=np.float64), n)
+            mat = v.transpose(1, 0, 2).reshape(v.shape[1], -1)
+            out.append(np.linalg.svd(mat, compute_uv=False))
     return out
 
 

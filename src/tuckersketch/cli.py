@@ -134,7 +134,8 @@ def _build_parser():
     dec.add_argument("--lprime", default=None, help="sketch widths for ran/kr variants")
     dec.add_argument("--seed", type=int, default=0)
     dec.add_argument("--max-iters", type=int, default=50)
-    dec.add_argument("--tol", type=float, default=1e-4)
+    dec.add_argument("--tol", type=float, default=1e-4,
+                     help="hooi's least fit gain per sweep; write -inf as --tol=-inf")
     dec.add_argument("--init", choices=("random", "hosvd"), default="random")
     dec.add_argument("--out", default=None, help="directory for core/factor/metrics files")
     dec.set_defaults(func=cmd_decompose)

@@ -14,15 +14,15 @@ Conventions used across the package:
 
 Dense tensors are plain float ndarrays. The index maps above define what a
 tensor means; the in-memory strides decide only what a contraction costs.
-:func:`mode_product` contracts in place any array whose memory is a
-transposed C-contiguous array: C order, F order (what
-:func:`tuckersketch.tensor_io.read_tensor` returns) and the views that
-``np.moveaxis`` or ``.transpose`` make of either. :func:`memory_axes` names
-the axes of such an array from slowest to fastest. Any other layout, such as
-a sliced view, is copied once to C order. Results are again transposed
-C-contiguous arrays, so a chain of products never copies the tensor.
-:func:`contraction_order` picks the order of a chain of products, the same
-for every chain in the package.
+:func:`mode_view` views a mode of any array whose memory is a transposed
+C-contiguous array (C order, F order as :func:`tuckersketch.tensor_io.read_tensor`
+returns, and the ``np.moveaxis`` or ``.transpose`` views of either) as a
+C-contiguous (pre, I_n, post) array in its memory order, which
+:func:`memory_axes` names; any other layout, such as a sliced view, is copied
+once to C order. :func:`mode_product` contracts that view into another such
+array, so a chain of products never copies the tensor, and
+:func:`mode_products` runs every chain of the package in one
+:func:`contraction_order`.
 
 Sparse tensors are :class:`SparseTensor` coordinate lists. Only their
 contractions need scipy: :meth:`SparseTensor.unfold_csr` imports
@@ -135,14 +135,10 @@ def mode_product(t, mode, b):
 
     ``b`` has shape (J, I_mode); the result replaces dimension I_mode by J and
     equals ``fold(b @ unfold(t, mode), mode, dims)``, but never forms the
-    unfolding. ``t`` is read in its own memory order (:func:`memory_axes`),
-    viewed as (pre, I_mode, post) there, and contracted by one batched GEMM
-    with ``b`` on the left: a single GEMM when mode ``mode`` is outermost,
-    and ``b @ t.reshape(pre, I_mode).T`` when it is innermost, whose result
-    has the new axis outermost. A layout that :func:`memory_axes` rejects is
-    copied once to C order first. The result is a C-contiguous array,
-    possibly seen through a transposed view. Accepts a :class:`SparseTensor`
-    for ``t`` (the result is dense, with mode ``mode`` fastest in memory).
+    unfolding: one batched GEMM with ``b`` on the left contracts the
+    :func:`mode_view` of ``t``. The result is a C-contiguous array, possibly
+    seen through a transposed view. Accepts a :class:`SparseTensor` for
+    ``t`` (the result is dense, with mode ``mode`` fastest in memory).
     """
     b = np.asarray(b, dtype=np.float64)
     sparse = isinstance(t, SparseTensor)
@@ -160,27 +156,48 @@ def mode_product(t, mode, b):
         new_dims = list(dims)
         new_dims[mode - 1] = b.shape[0]
         return fold(prod, mode, new_dims)
-    axes = memory_axes(t)
-    if axes is None:
-        return _mode_product_c(np.ascontiguousarray(t), mode - 1, b)
-    inverse = [0] * t.ndim
+    v, axes = mode_view(t, mode)
+    pre, size, post = v.shape
+    # at the innermost axis, one GEMM whose (J, pre) result puts the new axis
+    # outermost; its transpose folds as a view
+    out = (b @ v.reshape(pre, size).T).T if post == 1 else np.matmul(b, v)
+    inverse = [0] * len(axes)
     for i, m in enumerate(axes):
         inverse[m] = i
-    return _mode_product_c(t.transpose(axes), axes.index(mode - 1), b).transpose(inverse)
+    shape = [dims[m] for m in axes]
+    shape[inverse[mode - 1]] = b.shape[0]
+    return out.reshape(shape).transpose(inverse)
 
 
-def _mode_product_c(t, k, b):
-    # t is C-contiguous, so the (pre, I_k, post) reshapes below are views
-    dims = t.shape
-    pre = math.prod(dims[:k])
-    post = math.prod(dims[k + 1 :])
-    new_dims = dims[:k] + (b.shape[0],) + dims[k + 1 :]
-    if post == 1:
-        # one GEMM with the small matrix on the left; its (J, pre) result
-        # puts the new axis outermost, and its transpose folds to new_dims
-        # as a view
-        return (b @ t.reshape(pre, dims[k]).T).T.reshape(new_dims)
-    return np.matmul(b, t.reshape(pre, dims[k], post)).reshape(new_dims)
+def mode_view(t, n):
+    """Dense ``t`` as a C-contiguous (pre, I_n, post) view in its own memory order.
+
+    Returns ``(v, axes)`` with ``axes`` from slowest to fastest
+    (:func:`memory_axes`); pre and post are the sizes of the axes before and
+    after axis n - 1 there. Only a layout that :func:`memory_axes` rejects is
+    copied, once, to C order.
+    """
+    axes = memory_axes(t)
+    if axes is None:
+        t = np.ascontiguousarray(t)
+        axes = tuple(range(t.ndim))
+    v = t.transpose(axes)
+    dims = v.shape
+    k = axes.index(n - 1)
+    return v.reshape(math.prod(dims[:k]), dims[k], math.prod(dims[k + 1 :])), axes
+
+
+def mode_products(t, mats):
+    """``t x_m mats[m]`` over every mode m of the dict ``mats``, as a dense array.
+
+    Each matrix is J_m x I_m, and the products run in :func:`contraction_order`
+    of the ratios I_m / J_m. A :class:`SparseTensor` left as it is (no
+    matrices) is densified; a dense ``t`` comes back as itself.
+    """
+    dims = dims_of(t)
+    for m in contraction_order(t, {m: dims[m - 1] / b.shape[0] for m, b in mats.items()}):
+        t = mode_product(t, m, mats[m])
+    return t.densify() if isinstance(t, SparseTensor) else t
 
 
 def memory_axes(t):

@@ -18,10 +18,9 @@ for a given (seed, mode pair) whenever the shapes agree.
 
 Contraction order
 -----------------
-:func:`sketch_mode` contracts the other modes in decreasing shrink ratio.
-Ties go to the outermost mode in memory first, then to the innermost, then
-to the middle ones from outer to inner (see
-:func:`tuckersketch.core.contraction_order`).
+:func:`sketch_mode` contracts the other modes with
+:func:`tuckersketch.core.mode_products`, in the package's one contraction
+order: decreasing shrink ratio, ties to the two ends of memory first.
 :func:`batch_sketches` takes every mode's sketch of one tensor. For a dense
 tensor whose outermost mode in memory, p, is longer than the sum of the
 other modes' widths L_{n,p}, it contracts mode p once for all of them (their
@@ -39,8 +38,8 @@ import numpy as np
 # imports lazily inside the first timed draw
 import numpy.random  # noqa: F401
 
-from .core import (SparseTensor, check_dims, check_rank, contraction_order, dims_of,
-                   memory_axes, mode_product, positive_int, unfold)
+from .core import (SparseTensor, check_dims, check_rank, dims_of, memory_axes, mode_product,
+                   mode_products, mode_view, positive_int, unfold)
 
 
 def philox_rng(seed, stream_id):
@@ -230,9 +229,8 @@ def sketch_mode(c, n, plan, stream, done=None):
     """Structured sketch of ``c`` for mode ``n``: unfold(c x_m G_{n,m}, n).
 
     Each G_{n,m} is L_{n,m} x (current size of mode m), drawn i.i.d. standard
-    normal from ``stream.fork(m)``. Contractions run in decreasing shrink
-    ratio (size / L), ties to the two ends of memory first
-    (:func:`~tuckersketch.core.contraction_order`).
+    normal from ``stream.fork(m)``, and the chain runs in
+    :func:`~tuckersketch.core.mode_products`.
     The result equals unfold(c, n) times the transposed Kronecker chain of the
     G matrices (descending m). Sparse inputs are contracted without
     densifying; only the (small) sketched tensor is dense. ``done`` names a
@@ -244,10 +242,7 @@ def sketch_mode(c, n, plan, stream, done=None):
     ells = dict(zip(others, plan.sketch_dims[n]))
     rest = [m for m in others if m != done]
     mats = {m: gaussian_matrix(stream.fork(m), ells[m], dims[m - 1]) for m in rest}
-    out = c
-    for m in contraction_order(c, {m: dims[m - 1] / ells[m] for m in rest}):
-        out = mode_product(out, m, mats[m])
-    return unfold(out, n)
+    return unfold(mode_products(c, mats), n)
 
 
 def batch_sketches(a, plan):
@@ -289,12 +284,10 @@ def sketch_full_gaussian(c, n, lprime, stream):
     """Unstructured sketch unfold(c, n) @ Omega with Omega drawn row-major.
 
     Omega has one row per column of the unfolding and ``lprime`` columns.
-    A dense ``c`` is contracted in its own memory order
-    (:func:`~tuckersketch.core.memory_axes`), viewed as (pre, I_n, post)
+    A dense ``c`` is contracted as its :func:`~tuckersketch.core.mode_view`
     against Omega reordered to match; only Omega, which is small, is ever
-    reordered (a layout that memory order cannot describe is copied once, as
-    in :func:`mode_product`). A sparse ``c`` is multiplied through its CSR
-    unfolding and never densified.
+    reordered. A sparse ``c`` is multiplied through its CSR unfolding and
+    never densified.
     """
     dims = dims_of(c)
     others = tuple(d for i, d in enumerate(dims) if i != n - 1)
@@ -302,24 +295,18 @@ def sketch_full_gaussian(c, n, lprime, stream):
     if isinstance(c, SparseTensor):
         return np.asarray(c.unfold_csr(n) @ omega)
     c = np.asarray(c, dtype=np.float64)
-    axes = memory_axes(c)
-    if axes is None:
-        c = np.ascontiguousarray(c)
-        axes = tuple(range(c.ndim))
-    t = c.transpose(axes)
+    v, axes = mode_view(c, n)
+    pre, size, post = v.shape
     # Omega's rows run over the other modes earliest fastest: C order over
     # them reversed; put them in the memory order of the other axes of c
     omega = omega.reshape(others[::-1] + (lprime,))
     rev = [m for m in range(c.ndim - 1, -1, -1) if m != n - 1]
     omega = omega.transpose([rev.index(m) for m in axes if m != n - 1] + [len(rev)])
-    k = axes.index(n - 1)
-    pre = math.prod(t.shape[:k])
-    post = math.prod(t.shape[k + 1 :])
     omega = omega.reshape(pre, post, lprime)
     if post == 1:
         # one GEMM instead of ``pre`` outer products
-        return t.reshape(pre, dims[n - 1]).T @ omega[:, 0]
-    return np.matmul(t.reshape(pre, dims[n - 1], post), omega).sum(axis=0)
+        return v.reshape(pre, size).T @ omega[:, 0]
+    return np.matmul(v, omega).sum(axis=0)
 
 
 def sketch_khatri_rao(c, n, lprime, stream):

@@ -128,7 +128,8 @@ def _read_values(fh, count, path):
 
 
 def _expect_eof(fh, path):
-    if fh.readline().strip():
+    """Refuse anything but blank lines in the rest of ``fh``."""
+    if any(line.strip() for line in fh):
         raise ValueError(f"{path}: trailing content after the declared entries")
 
 

@@ -31,11 +31,12 @@ from .core import (
     SparseTensor,
     check_rank,
     check_tensor,
-    contraction_order,
     dims_of,
     frob_norm,
     memory_axes,
     mode_product,
+    mode_products,
+    mode_view,
     positive_int,
     pow2_scale,
 )
@@ -125,29 +126,16 @@ class Metrics:
 
 
 def _project(a, factors):
-    """``a x_m Q_m^T`` over all modes, densified output.
+    """Dense ``a x_m Q_m^T`` by :func:`~tuckersketch.core.mode_products`.
 
-    Contracts in :func:`~tuckersketch.core.contraction_order`; a ``None``
-    factor marks a mode that is not contracted.
+    A ``None`` factor marks a mode that is not contracted.
     """
-    dims = dims_of(a)
-    ratios = {
-        m: dims[m - 1] / q.shape[1] for m, q in enumerate(factors, start=1) if q is not None
-    }
-    out = a
-    for m in contraction_order(a, ratios):
-        out = mode_product(out, m, factors[m - 1].T)
-    if isinstance(out, SparseTensor):
-        out = out.densify()
-    return out
+    return mode_products(a, {m: q.T for m, q in enumerate(factors, start=1) if q is not None})
 
 
 def reconstruct(approx):
     """Dense tensor ``core x_n Q_n`` of the approximation."""
-    out = approx.core
-    for n, q in enumerate(approx.factors, start=1):
-        out = mode_product(out, n, q)
-    return out
+    return mode_products(approx.core, dict(enumerate(approx.factors, start=1)))
 
 
 @np.errstate(over="ignore")  # an overflowed sum of squares is redone scaled
@@ -183,10 +171,8 @@ def rlne(a, approx):
             # walk the C-contiguous transpose: the permuted problem
             t, core = a.transpose(axes), core.transpose(axes)
             factors, dims = [factors[m] for m in axes], t.shape
-    w = np.ascontiguousarray(core)
-    for n, q in enumerate(factors[:-1], start=1):
-        w = mode_product(w, n, q)
-    w = np.ascontiguousarray(w)
+    chain = dict(enumerate(factors[:-1], start=1))
+    w = np.ascontiguousarray(mode_products(np.ascontiguousarray(core), chain))
     # w has shape dims[:-1] + (r_N,); slab rows of it times q_t give the slab
     q_t = factors[-1].T
     last = len(dims) - 1
@@ -284,18 +270,6 @@ def _tucker(a, target_rank, basis, order=None, sequential=True):
     return TuckerApprox(c, factors, rank_warnings=tuple(sorted(warned)))
 
 
-def _memory_unfolding(a, n):
-    """The mode-n matrix of dense ``a``, other modes as columns in memory order.
-
-    Its columns are those of ``unfold(a, n)`` permuted, so it has the same
-    left singular vectors. It is a view when mode n is at either end of
-    memory, and one contiguous copy otherwise.
-    """
-    axes = memory_axes(a)
-    v = a.transpose(axes)
-    return np.moveaxis(v, axes.index(n - 1), 0).reshape(a.shape[n - 1], -1)
-
-
 def _sketch_basis(plan):
     """Structured-sketch basis: rank-mu SVD of the mode's Kronecker sketch."""
 
@@ -351,7 +325,10 @@ def _exact_basis(a, n, mu):
         u = evecs[:, np.argsort(evals)[::-1][:mu]]
         u = u * linalg.column_sign_flips(u)
         return u, linalg.numerical_rank(np.linalg.norm(x.T @ u, axis=0))
-    u, sig = linalg.left_singular(_memory_unfolding(a, n), mu)
+    # unfold(a, n) with its columns in memory order: the same left singular
+    # vectors, and a view when mode n is at either end of memory
+    v, _ = mode_view(a, n)
+    u, sig = linalg.left_singular(v.transpose(1, 0, 2).reshape(v.shape[1], -1), mu)
     return u, linalg.numerical_rank(sig)
 
 

@@ -1,6 +1,7 @@
 """Benchmark harness tests: config parsing, suite runs, probe, plots."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,23 @@ def test_oracle_floor_matches_delta_tail():
         ts.delta_tail(svals[0], 3), ts.delta_tail(svals[1], 4), ts.delta_tail(svals[2], 5)
     )
     assert floor == expected
+
+
+def test_sparse_mode_singular_values_skip_the_zero_columns():
+    # a 100 x 10^4 unfolding with at most 500 nonzero columns: 8 MB dense
+    s = ts.gen_random_sparse((100, 100, 100), 500, seed=2)
+    dense_bytes = 100 * 100**2 * 8
+    s.unfold_csr(1)  # imports scipy.sparse outside the trace
+    tracemalloc.start()
+    try:
+        svals = bench.mode_singular_values(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 8
+    for got, ref in zip(svals, bench.mode_singular_values(s.densify())):
+        assert got.shape == ref.shape == (100,)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * ref[0])
 
 
 def test_check_inequality13_reports():

@@ -140,6 +140,21 @@ def test_exit_code_2_on_a_nan_tol(tmp_path, capsys):
     assert "tol" in capsys.readouterr().err
 
 
+def test_tol_minus_inf_runs_every_sweep(tmp_path, capsys):
+    # argparse reads "--tol -inf" as two options; "--tol=-inf" is the form
+    p = tmp_path / "t.txt"
+    ts.write_tensor(ts.gen_tucker_noise(ts.NoisySpec((2, 2, 2), 10.0, 1), (8, 7, 6))[0], p)
+    assert run(["decompose", str(p), "--algorithm", "hooi", "--rank", "2",
+                "--tol=-inf", "--max-iters", "3"]) == 0
+    a = ts.read_tensor(p)
+    apx = ts.hooi(a, (2, 2, 2), max_iters=3, tol=-np.inf)
+    assert len(apx.fit_history) == 3
+    assert capsys.readouterr().out.startswith(f"rlne={ts.rlne(a, apx)!r} ")
+    with pytest.raises(SystemExit):
+        run(["decompose", "--help"])
+    assert "--tol=-inf" in capsys.readouterr().out
+
+
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
     assert run(["decompose", str(tmp_path / "nope.txt"), "--algorithm", "hooi",
                 "--rank", "2"]) == 2

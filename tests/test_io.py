@@ -85,6 +85,24 @@ def test_read_tensor_rejects_trailing_content(tmp_path):
         ts.read_tensor(p)
 
 
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (ts.read_tensor, "dense 2\n1 2\n1.0\n2.0\n"),
+        (ts.read_tensor, "sparse 1 1\n2\n1 5.0\n"),
+        (ts.read_matrix, "1 2\n1.0\n2.0\n"),
+    ],
+    ids=["dense", "sparse", "matrix"],
+)
+def test_readers_reject_content_after_a_blank_line(tmp_path, reader, text):
+    p = tmp_path / "t.txt"
+    p.write_text(text + "\n \n")
+    reader(p)  # trailing blank lines are fine
+    p.write_text(text + "\n2 7.0\n")
+    with pytest.raises(ValueError, match="trailing"):
+        reader(p)
+
+
 def test_read_tensor_rejects_non_integer_fields(tmp_path):
     p = tmp_path / "odd.txt"
     p.write_text("dense x\n2 2\n")
