@@ -7,6 +7,7 @@ model.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,30 +17,43 @@ from .core import (SparseTensor, accumulate_sparse, check_dims, frob_norm, mode_
 from .sketch import GaussianStream, gaussian_matrix, philox_rng
 
 
+def _gather(table, dims, weights):
+    """C-ordered tensor whose 0-based entry (i_1..i_N) is ``table[sum w_n * i_n]``.
+
+    The read-only view repeats the table's memory under item strides
+    ``weights``; the one copy out of it is the only tensor-sized write.
+    """
+    view = np.lib.stride_tricks.as_strided(
+        table, shape=dims, strides=tuple(w * table.itemsize for w in weights), writeable=False
+    )
+    # numpy's default order K would follow the view's strides, which are F
+    # for increasing weights
+    return np.array(view, order="C")
+
+
 def gen_reciprocal_sum(dims):
     """Smooth dense tensor a[i_1..i_N] = 1 / (i_1 + ... + i_N).
 
-    Built in place in one float64 array (the integer sums are exact), so the
-    peak memory is the output itself.
+    The tensor holds only the values 1/s for s = N..sum(dims): they are
+    computed once in a table and copied out in one write, so the peak memory
+    is the output plus that table.
     """
     dims = check_dims(dims)
-    out = np.zeros(dims)
-    for grid in np.ogrid[tuple(slice(1, d + 1) for d in dims)]:
-        out += grid
-    return np.reciprocal(out, out=out)
+    table = np.reciprocal(np.arange(len(dims), sum(dims) + 1, dtype=np.float64))
+    return _gather(table, dims, (1,) * len(dims))
 
 
 def gen_log_reciprocal(dims):
-    """Smooth dense order-3 tensor b[ijk] = 1 / ln(i + 2j + 3k), built in place."""
+    """Smooth dense order-3 tensor b[ijk] = 1 / ln(i + 2j + 3k).
+
+    Copied in one write from the table of 1/ln s for s = 6..I+2J+3K.
+    """
     dims = check_dims(dims)
     if len(dims) != 3:
         raise ValueError(f"this family is order 3, got order {len(dims)}")
-    i, j, k = np.ogrid[1 : dims[0] + 1, 1 : dims[1] + 1, 1 : dims[2] + 1]
-    out = np.zeros(dims)
-    for grid in (i, 2 * j, 3 * k):
-        out += grid
-    np.log(out, out=out)
-    return np.reciprocal(out, out=out)
+    i, j, k = dims
+    table = np.log(np.arange(6, i + 2 * j + 3 * k + 1, dtype=np.float64))
+    return _gather(np.reciprocal(table, out=table), dims, (1, 2, 3))
 
 
 def sparse_outer_sum(dims, terms):
@@ -145,13 +159,18 @@ def gen_tucker_noise(spec, dims):
     The signal is an i.i.d. normal core of shape ``spec.core_dims`` expanded
     by i.i.d. normal factors; the noise is i.i.d. normal over ``dims`` scaled
     by the beta that realizes ``spec.snr_db`` exactly:
-    beta = ||signal|| / (||noise|| * 10^(snr/20)). ``snr_db=inf`` means no
-    noise (beta = 0). Returns ``(tensor, beta)``.
+    beta = ||signal|| / (||noise|| * 10^(snr/20)). ``snr_db`` is a real
+    number, neither NaN nor ``-inf``; ``snr_db=inf`` means no noise
+    (beta = 0). Returns ``(tensor, beta)``.
 
     Stream layout under ``spec.seed``: core on stream 0, factor for mode n on
     stream n, noise on stream N+1; tensors fill first-mode-fastest.
     """
     dims = check_dims(dims)
+    snr_db = spec.snr_db
+    if (isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real)
+            or math.isnan(snr_db) or snr_db == -math.inf):
+        raise ValueError(f"snr_db must be a real number, not NaN or -inf, got {snr_db!r}")
     core_dims = spec.core_dims
     if len(core_dims) != len(dims):
         raise ValueError(f"core order {len(core_dims)} does not match dims {dims}")
@@ -163,15 +182,18 @@ def gen_tucker_noise(spec, dims):
     for n in range(1, len(dims) + 1):
         b = gaussian_matrix(GaussianStream(spec.seed, n), dims[n - 1], core_dims[n - 1])
         signal = mode_product(signal, n, b)
-    if math.isinf(spec.snr_db):
+    if snr_db == math.inf:
         return signal, 0.0
     noise = (
         GaussianStream(spec.seed, len(dims) + 1)
         .normals(math.prod(dims))
         .reshape(dims, order="F")
     )
-    beta = frob_norm(signal) / (frob_norm(noise) * 10.0 ** (spec.snr_db / 20.0))
-    return signal + beta * noise, float(beta)
+    beta = frob_norm(signal) / (frob_norm(noise) * 10.0 ** (snr_db / 20.0))
+    # both are F-ordered, so the noise buffer takes the sum in place
+    noise *= beta
+    noise += signal
+    return noise, float(beta)
 
 
 FAMILIES = ("reciprocal_sum", "log_reciprocal", "sparse_outer", "random_sparse", "tucker_noise")

@@ -140,6 +140,16 @@ def test_exit_code_2_on_a_nan_tol(tmp_path, capsys):
     assert "tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("snr", ["--snr-db=nan", "--snr-db=-inf"])
+def test_exit_code_2_on_a_nan_or_minus_inf_snr(tmp_path, capsys, snr):
+    p = tmp_path / "t.txt"
+    code = run(["gen", "tucker_noise", "--dims", "6,6,6", "--core-dims", "2,2,2", snr,
+                "--out", str(p)])
+    assert code == 2
+    assert "snr_db" in capsys.readouterr().err
+    assert not p.exists()
+
+
 def test_tol_minus_inf_runs_every_sweep(tmp_path, capsys):
     # argparse reads "--tol -inf" as two options; "--tol=-inf" is the form
     p = tmp_path / "t.txt"

@@ -64,6 +64,34 @@ def test_dense_generators_build_in_place(gen, dims, oracle):
     assert peak <= 1.1 * a.nbytes
 
 
+def _owns_c_copy(a):
+    # a fresh C-ordered array, never the read-only strided view of a table
+    return (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+            and a.base is None)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(1,), (7,), (1, 1), (1, 9), (9, 1), (3, 1, 4), (1, 1, 1), (17, 5, 11),
+     (2, 3, 4, 5), (4, 1, 3, 1, 2), (3, 2, 1, 2, 3, 2), (2, 2, 2, 2, 2, 2)],
+)
+def test_reciprocal_sum_matches_closed_form_bytes(dims):
+    sums = (np.indices(dims) + 1).sum(axis=0).astype(np.float64)
+    a = ts.gen_reciprocal_sum(dims)
+    assert a.shape == dims and _owns_c_copy(a)
+    assert a.tobytes() == (1.0 / sums).tobytes()
+
+
+@pytest.mark.parametrize(
+    "dims", [(1, 1, 1), (1, 1, 6), (1, 6, 1), (6, 1, 1), (5, 7, 3), (2, 19, 4), (31, 3, 8)]
+)
+def test_log_reciprocal_matches_closed_form_bytes(dims):
+    i, j, k = np.indices(dims) + 1
+    a = ts.gen_log_reciprocal(dims)
+    assert a.shape == dims and _owns_c_copy(a)
+    assert a.tobytes() == (1.0 / np.log((i + 2 * j + 3 * k).astype(np.float64))).tobytes()
+
+
 def test_log_reciprocal_rejects_other_orders():
     with pytest.raises(ValueError):
         ts.gen_log_reciprocal((4, 4))
@@ -195,6 +223,31 @@ def test_tucker_noise_zero_db_balances_energy():
     noisy, beta = ts.gen_tucker_noise(spec, (10, 10, 10))
     clean, _ = ts.gen_tucker_noise(ts.NoisySpec((2, 2, 2), float("inf"), seed=3), (10, 10, 10))
     assert ts.frob_norm(noisy - clean) == pytest.approx(ts.frob_norm(clean), rel=1e-9)
+
+
+@pytest.mark.parametrize("snr", [float("nan"), -math.inf, True, "10", 1j, None])
+def test_tucker_noise_rejects_bad_snr(snr):
+    with pytest.raises(ValueError, match="snr_db"):
+        ts.gen_tucker_noise(ts.NoisySpec((2, 2, 2), snr), (4, 4, 4))
+    with pytest.raises(ValueError, match="snr_db"):
+        generators.generate("tucker_noise", (4, 4, 4), core_dims=(2, 2, 2), snr_db=snr)
+
+
+def test_tucker_noise_sums_in_place_in_f_order():
+    # the scaled noise buffer takes the signal: no tensor-sized temporaries
+    # beyond signal and noise (3.0x when they were summed into a new array)
+    ts.gen_tucker_noise(ts.NoisySpec((2, 2, 2), 10.0, 1), (6, 6, 6))
+    dims = (100, 100, 100)
+    tracemalloc.start()
+    try:
+        a, beta = ts.gen_tucker_noise(ts.NoisySpec((5, 5, 5), 10.0, 1), dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.flags.f_contiguous and a.flags.writeable and beta > 0
+    assert peak <= 2.6 * a.nbytes
+    clean, _ = ts.gen_tucker_noise(ts.NoisySpec((5, 5, 5), math.inf, 1), dims)
+    assert clean.flags.f_contiguous
 
 
 def test_tucker_noise_core_dim_validation():
