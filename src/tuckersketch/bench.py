@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import generators
-from .core import SparseTensor, dims_of, frob_norm, mode_product, mode_view, positive_int
+from .core import (SparseTensor, dims_of, frob_norm, mode_product, mode_view, positive_int,
+                   real_number)
 from .generators import FAMILIES
 from .linalg import delta_tail
 from .tucker import ALGORITHMS, decompose, rlne, tucker_svd_seq
@@ -307,11 +308,13 @@ def probe_bound(a, plan, trials, cap=10.0):
 
     Runs :func:`tucker_svd_seq` with seeds ``plan.seed .. plan.seed+trials-1``
     and reports error / sum_n Delta_{mu_n+1} ratios plus the fraction below
-    ``cap``. When the tail energies vanish relative to ||a|| (exact low rank)
-    the ratios are meaningless: ``degenerate`` is set and success counts
-    trials with error <= 1e-8 * ||a|| instead.
+    ``cap``, a real number > 0. When the tail energies vanish relative to
+    ||a|| (exact low rank) the ratios are meaningless: ``degenerate`` is set
+    and success counts trials with error <= 1e-8 * ||a|| instead.
     """
     trials = positive_int(trials, "trials")
+    if not real_number(cap, "cap") > 0.0:
+        raise ValueError(f"cap must be > 0, got {cap!r}")
     svals = mode_singular_values(a)
     deltas = tuple(delta_tail(s, mu + 1) for s, mu in zip(svals, plan.target_rank))
     total = float(sum(deltas))

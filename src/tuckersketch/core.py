@@ -33,7 +33,9 @@ Every decomposition and ``rlne`` check their input here and nowhere else:
 complex or 0-d tensor, or a rank such as 2.7, ``True`` or ``'2'``.
 Finiteness is checked where it is free: on what ``linalg`` factors. Every
 other count (dims, seeds, oversampling, ``nnz``, iterations) passes the same
-rule, :func:`positive_int` with a lower bound of 0 or 1, or :func:`check_dims`.
+rule, :func:`positive_int` with a lower bound of 0 or 1, or :func:`check_dims`,
+and every real parameter (a tolerance, an SNR, a density, a cap) passes
+:func:`real_number` before its own range check.
 """
 
 import math
@@ -51,6 +53,17 @@ def positive_int(x, what, low=1):
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
         raise ValueError(f"{what} must be an integer >= {low}, got {x!r}")
     return int(x)
+
+
+def real_number(x, what):
+    """``x`` as a float, infinities kept; a bool, NaN, string or too large an int is refused."""
+    if not isinstance(x, bool) and isinstance(x, numbers.Real):
+        try:
+            if not math.isnan(x):
+                return float(x)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a real number, not NaN, got {x!r}")
 
 
 def check_dims(dims):
@@ -95,9 +108,9 @@ SQUARES_RANGE = (2.0**-600, 2.0**600)
 
 
 def pow2_scale(x):
-    """2^-e with max|x| * 2^-e in [0.5, 1), an exact scale (Blue 1978); else 1.0."""
+    """Exact 2^-e <= 2^1023 putting max|x| * 2^-e in [0.5, 1) if it can (Blue 1978); else 1.0."""
     top = float(np.max(np.abs(x), initial=0.0))
-    return math.ldexp(1.0, -math.frexp(top)[1]) if 0.0 < top < math.inf else 1.0
+    return math.ldexp(1.0, min(-math.frexp(top)[1], 1023)) if 0.0 < top < math.inf else 1.0
 
 
 def _check_mode(mode, ndim):

@@ -7,13 +7,12 @@ model.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (SparseTensor, accumulate_sparse, check_dims, frob_norm, mode_product,
-                   positive_int)
+                   positive_int, real_number)
 from .sketch import GaussianStream, gaussian_matrix, philox_rng
 
 
@@ -102,6 +101,7 @@ def gen_sparse_outer(i_dim, densities=None, seed=0, order=3):
         densities = _OUTER_DENSITIES[:order]
     if len(densities) != order:
         raise ValueError(f"need {order} densities, got {len(densities)}")
+    densities = [real_number(dens, f"densities[{m}]") for m, dens in enumerate(densities)]
     for dens in densities:
         if not 0.0 < dens <= 1.0:
             raise ValueError(f"densities must be in (0, 1], got {dens}")
@@ -160,17 +160,15 @@ def gen_tucker_noise(spec, dims):
     by i.i.d. normal factors; the noise is i.i.d. normal over ``dims`` scaled
     by the beta that realizes ``spec.snr_db`` exactly:
     beta = ||signal|| / (||noise|| * 10^(snr/20)). ``snr_db`` is a real
-    number, neither NaN nor ``-inf``; ``snr_db=inf`` means no noise
-    (beta = 0). Returns ``(tensor, beta)``.
+    number, not NaN, for which beta and beta * ||noise|| are finite doubles,
+    so ``-inf`` and values some thousands of dB from 0 are refused;
+    ``snr_db=inf`` means no noise (beta = 0). Returns ``(tensor, beta)``.
 
     Stream layout under ``spec.seed``: core on stream 0, factor for mode n on
     stream n, noise on stream N+1; tensors fill first-mode-fastest.
     """
     dims = check_dims(dims)
-    snr_db = spec.snr_db
-    if (isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real)
-            or math.isnan(snr_db) or snr_db == -math.inf):
-        raise ValueError(f"snr_db must be a real number, not NaN or -inf, got {snr_db!r}")
+    snr_db = real_number(spec.snr_db, "snr_db")
     core_dims = spec.core_dims
     if len(core_dims) != len(dims):
         raise ValueError(f"core order {len(core_dims)} does not match dims {dims}")
@@ -189,7 +187,13 @@ def gen_tucker_noise(spec, dims):
         .normals(math.prod(dims))
         .reshape(dims, order="F")
     )
-    beta = frob_norm(signal) / (frob_norm(noise) * 10.0 ** (snr_db / 20.0))
+    norm_noise = frob_norm(noise)
+    try:
+        beta = frob_norm(signal) / (norm_noise * 10.0 ** (snr_db / 20.0))
+    except (OverflowError, ZeroDivisionError):  # 10^(snr/20) left the double range
+        beta = math.inf
+    if not math.isfinite(beta * norm_noise):
+        raise ValueError(f"snr_db={snr_db!r} puts the noise scale beta outside the double range")
     # both are F-ordered, so the noise buffer takes the sum in place
     noise *= beta
     noise += signal

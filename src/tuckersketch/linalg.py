@@ -125,26 +125,21 @@ def numerical_rank(s):
 
 
 def fixed_rank_basis(a, mu):
-    """Rank-``mu`` orthonormal basis of the range of ``a`` via truncated SVD.
+    """Leading ``mu`` left singular vectors of ``a`` and their numerical rank.
 
-    Returns ``(q, s)`` with ``q`` the leading ``mu`` left singular vectors and
-    ``s = diag(sigma_1..sigma_mu) @ vt``, so ``q @ s`` is the best rank-``mu``
-    approximation of ``a`` and ``||q @ s - a||_2 <= sigma_{mu+1}(a)``.
-
-    If ``mu`` exceeds the numerical rank, the trailing columns of ``q`` are an
-    arbitrary orthonormal completion. The row norms of ``s`` are exactly the
-    leading singular values, so callers take the rank decision from the
-    returned data: ``numerical_rank(np.linalg.norm(s, axis=1))``.
+    Returns ``(q, rank)`` like :func:`qr_basis_with_rank`: ``q`` the first
+    ``mu`` columns of :func:`svd`'s ``u`` and ``rank`` the
+    :func:`numerical_rank` of ``sigma_1..sigma_mu``. If ``mu`` exceeds the
+    numerical rank, the trailing columns of ``q`` are an arbitrary
+    orthonormal completion.
     """
     a = np.asarray(a, dtype=np.float64)
     if not 1 <= mu <= min(a.shape):
         raise ValueError(
             f"basis width must be in 1..{min(a.shape)} for shape {a.shape}, got {mu}"
         )
-    u, sig, vt = svd(a)
-    q = u[:, :mu]
-    s = sig[:mu, None] * vt[:mu]
-    return q, s
+    u, sig, _ = svd(a)
+    return u[:, :mu], numerical_rank(sig[:mu])
 
 
 def qr_basis_with_rank(a):

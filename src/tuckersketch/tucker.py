@@ -5,7 +5,10 @@ projected onto the orthonormal factor bases, so the reconstruction error obeys
 ``||a - recon||^2 = ||a||^2 - ||core||^2`` up to roundoff.
 
 All six algorithms run the one per-mode loop :func:`_tucker`, each with its
-own basis function; :func:`hooi` runs it once per sweep. A full-rank mode
+own basis function; :func:`hooi` runs it once per sweep. Every basis returns
+``(factor, numerical rank)``: :func:`linalg.fixed_rank_basis` of a sketch
+(seq, batch), :func:`linalg.qr_basis_with_rank` of a one-matrix sketch (ran,
+kr), or :func:`_exact_basis` of an unfolding (HOSVD, hooi). A full-rank mode
 gets a ``None`` factor there, which :func:`_project` skips; only the result
 holds a fresh identity for it.
 
@@ -19,7 +22,6 @@ see :mod:`tuckersketch.sketch` for the stream derivation.
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,7 @@ from .core import (
     mode_view,
     positive_int,
     pow2_scale,
+    real_number,
 )
 from .sketch import (
     GaussianStream,
@@ -152,9 +155,9 @@ def rlne(a, approx):
     then one GEMM against that factor. Memory is one slab of ``_SLAB``
     entries plus that core chain, never a tensor-sized array; a
     :class:`SparseTensor` subtracts its nonzeros from each dense slab
-    instead of being densified. It is correct for entries from about 1e-300
-    to 1e300: a sum of squares outside ``core.SQUARES_RANGE`` is redone,
-    once, on ``a`` and the core times an exact power of two. Raises
+    instead of being densified. It is correct for any finite entries, the
+    subnormal ones included: a sum of squares outside ``core.SQUARES_RANGE``
+    is redone, once, on ``a`` and the core times an exact power of two. Raises
     ``ValueError`` for a non-finite ``a``, for one that
     :func:`~tuckersketch.core.check_tensor` refuses, and when the dims of
     ``a`` and ``approx`` differ.
@@ -270,43 +273,6 @@ def _tucker(a, target_rank, basis, order=None, sequential=True):
     return TuckerApprox(c, factors, rank_warnings=tuple(sorted(warned)))
 
 
-def _sketch_basis(plan):
-    """Structured-sketch basis: rank-mu SVD of the mode's Kronecker sketch."""
-
-    def basis(c, n, mu):
-        return _basis_of_sketch(sketch_mode(c, n, plan, GaussianStream(plan.seed, n)), mu)
-
-    return basis
-
-
-def _basis_of_sketch(b, mu):
-    q, s = linalg.fixed_rank_basis(b, mu)
-    # row norms of s are exactly the leading singular values; a power-of-two
-    # scale keeps their squares in range and leaves every rank decision alone
-    return q, linalg.numerical_rank(np.linalg.norm(s * pow2_scale(s), axis=1))
-
-
-def _qr_basis(sketcher, target_rank, lprime, oversampling, seed):
-    """QR basis of a one-matrix sketch of width ``lprime`` (scalar or per mode)."""
-    if lprime is None:
-        lprime = [mu + positive_int(oversampling, "oversampling", 0) for mu in target_rank]
-    elif np.isscalar(lprime):
-        lprime = [lprime] * len(target_rank)
-    lprimes = [positive_int(x, "sketch width") for x in lprime]
-    if len(lprimes) != len(target_rank):
-        raise ValueError(f"need one sketch width per mode, got {lprimes}")
-    for mu, lp in zip(target_rank, lprimes):
-        if lp < mu:
-            raise ValueError(f"sketch width {lp} is below target rank {mu}")
-
-    def basis(c, n, mu):
-        b = sketcher(c, n, lprimes[n - 1], GaussianStream(seed, n))
-        q, rank = linalg.qr_basis_with_rank(b)
-        return q[:, :mu], rank
-
-    return basis
-
-
 def _exact_basis(a, n, mu):
     """Leading mu left singular vectors of the exact mode-n unfolding.
 
@@ -351,16 +317,13 @@ def tucker_svd_batch(a, plan):
     agree with it up to roundoff. Any other ``a``, sparse ones included,
     sketches each mode separately.
     """
-    sketches = None
+    a, target_rank = _input(a, plan.target_rank)
+    sketches = batch_sketches(a, plan)
 
     def basis(c, n, mu):
-        # c is the input as _tucker lays it out, the same for every mode
-        nonlocal sketches
-        if sketches is None:
-            sketches = batch_sketches(c, plan)
-        return _basis_of_sketch(sketches.pop(n), mu)
+        return linalg.fixed_rank_basis(sketches.pop(n), mu)
 
-    return _tucker(*_input(a, plan.target_rank), basis, sequential=False)
+    return _tucker(a, target_rank, basis, sequential=False)
 
 
 def tucker_svd_seq(a, plan):
@@ -370,7 +333,34 @@ def tucker_svd_seq(a, plan):
     shrinks the working tensor, so later sketches act on smaller data. The
     final working tensor is the core.
     """
-    return _tucker(*_input(a, plan.target_rank), _sketch_basis(plan), plan.order)
+
+    def basis(c, n, mu):
+        return linalg.fixed_rank_basis(sketch_mode(c, n, plan, GaussianStream(plan.seed, n)), mu)
+
+    return _tucker(*_input(a, plan.target_rank), basis, plan.order)
+
+
+def _qr_tucker(sketcher, a, target_rank, lprime, oversampling, seed):
+    """Sequential loop; each basis is the QR of a sketch ``lprime`` wide (one or one per mode)."""
+    seed = positive_int(seed, "seed", 0)
+    a, target_rank = _input(a, target_rank)
+    if lprime is None:
+        lprime = [mu + positive_int(oversampling, "oversampling", 0) for mu in target_rank]
+    elif np.isscalar(lprime):
+        lprime = [lprime] * len(target_rank)
+    lprimes = [positive_int(x, "sketch width") for x in lprime]
+    if len(lprimes) != len(target_rank):
+        raise ValueError(f"need one sketch width per mode, got {lprimes}")
+    for mu, lp in zip(target_rank, lprimes):
+        if lp < mu:
+            raise ValueError(f"sketch width {lp} is below target rank {mu}")
+
+    def basis(c, n, mu):
+        b = sketcher(c, n, lprimes[n - 1], GaussianStream(seed, n))
+        q, rank = linalg.qr_basis_with_rank(b)
+        return q[:, :mu], rank
+
+    return _tucker(a, target_rank, basis)
 
 
 def ran_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
@@ -380,10 +370,7 @@ def ran_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
     (prod of other dims) x lprime Gaussian, and the basis comes from QR
     truncated to mu_n columns. ``lprime`` defaults to mu_n + oversampling.
     """
-    seed = positive_int(seed, "seed", 0)
-    a, target_rank = _input(a, target_rank)
-    basis = _qr_basis(sketch_full_gaussian, target_rank, lprime, oversampling, seed)
-    return _tucker(a, target_rank, basis)
+    return _qr_tucker(sketch_full_gaussian, a, target_rank, lprime, oversampling, seed)
 
 
 def kr_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
@@ -393,10 +380,7 @@ def kr_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
     Kronecker chain of per-mode I_m x lprime Gaussians, so only
     sum(I_m) * lprime variates are drawn per mode.
     """
-    seed = positive_int(seed, "seed", 0)
-    a, target_rank = _input(a, target_rank)
-    basis = _qr_basis(sketch_khatri_rao, target_rank, lprime, oversampling, seed)
-    return _tucker(a, target_rank, basis)
+    return _qr_tucker(sketch_khatri_rao, a, target_rank, lprime, oversampling, seed)
 
 
 def truncated_hosvd(a, target_rank):
@@ -428,29 +412,25 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     improves by less than ``tol`` (a real number, not NaN; ``-inf`` runs every
     sweep) or after ``max_iters`` (at least 1).
     ``init`` is ``"random"`` (orthonormalized Gaussian factors drawn from
-    (seed, mode) streams) or ``"hosvd"``. A mode at full rank is never
+    (seed, mode) streams) or ``"hosvd"`` (the :func:`truncated_hosvd`
+    factors, without its core). A mode at full rank is never
     refined and keeps an identity factor, as in every other algorithm;
     ``rank_warnings`` are those of the last sweep.
     """
     seed = positive_int(seed, "seed", 0)
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or math.isnan(tol):
-        raise ValueError(f"tol must be a real number, not NaN, got {tol!r}")
+    tol = real_number(tol, "tol")
     a, target_rank = _input(a, target_rank)
     dims = dims_of(a)
     max_iters = positive_int(max_iters, "max_iters")
-    if init == "hosvd":
-        factors = truncated_hosvd(a, target_rank).factors
-    elif init == "random":
-        factors = [
-            linalg.qr_basis_with_rank(gaussian_matrix(GaussianStream(seed, n), d, mu))[0]
-            if mu < d
-            else None
-            for n, (d, mu) in enumerate(zip(dims, target_rank), start=1)
-        ]
-    else:
+    if init not in ("random", "hosvd"):
         raise ValueError(f"init must be 'random' or 'hosvd', got {init!r}")
-    # _tucker skips full-rank modes, so their factors are never contracted
-    factors = [None if mu == d else q for q, d, mu in zip(factors, dims, target_rank)]
+    # _tucker skips full-rank modes, so they get no factor to contract
+    factors = [
+        None if mu == d
+        else _exact_basis(a, n, mu)[0] if init == "hosvd"
+        else linalg.qr_basis_with_rank(gaussian_matrix(GaussianStream(seed, n), d, mu))[0]
+        for n, (d, mu) in enumerate(zip(dims, target_rank), start=1)
+    ]
 
     def basis(c, n, mu):
         factors[n - 1], rank = _exact_basis(_project(c, [None] * n + factors[n:]), n, mu)

@@ -150,6 +150,33 @@ def test_exit_code_2_on_a_nan_or_minus_inf_snr(tmp_path, capsys, snr):
     assert not p.exists()
 
 
+REAL_FLAGS = {
+    "--tol": ("tol", ["nan", "True"]),
+    "--snr-db": ("snr_db", ["nan", "-inf", "7000", "-7000", "1e308", "True"]),
+    "--cap": ("cap", ["nan", "-inf", "-7000", "0", "True"]),
+}
+
+
+@pytest.mark.parametrize("flag, value", [(f, v) for f, (_, vs) in REAL_FLAGS.items() for v in vs])
+def test_real_flags_exit_2_on_bad_values_without_a_traceback(tmp_path, capsys, flag, value):
+    p = tmp_path / "t.txt"
+    ts.write_tensor(ts.gen_reciprocal_sum((5, 6, 7)), p)
+    argv = {
+        "--tol": ["decompose", str(p), "--algorithm", "hooi", "--rank", "2"],
+        "--snr-db": ["gen", "tucker_noise", "--dims", "6,6,6", "--core-dims", "2,2,2",
+                     "--out", str(tmp_path / "g.txt")],
+        "--cap": ["probe", str(p), "--rank", "2", "--trials", "2"],
+    }[flag]
+    try:
+        code = run(argv + [f"{flag}={value}"])
+    except SystemExit as exc:  # argparse refuses what float() cannot read
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert REAL_FLAGS[flag][0] in err or flag in err
+
+
 def test_tol_minus_inf_runs_every_sweep(tmp_path, capsys):
     # argparse reads "--tol -inf" as two options; "--tol=-inf" is the form
     p = tmp_path / "t.txt"

@@ -5,6 +5,7 @@ the index map (column j enumerates the other modes ascending, earliest
 fastest); everything else must stay consistent with them.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -467,6 +468,55 @@ def test_counts_are_refused_by_name_not_truncated(entry, value):
     call, names, _ = COUNT_ENTRIES[entry]
     with pytest.raises(ValueError, match=names):
         call(value)
+
+
+def _tol_holds(tol):
+    fits = ts.hooi(A678, (2, 2, 2), max_iters=3, tol=tol).fit_history
+    gains = np.diff((-math.inf,) + fits)
+    # every sweep but the last gained at least tol; the last is the third or gained less
+    assert not any(g < tol for g in gains[:-1])
+    assert len(fits) == 3 or gains[-1] < tol
+
+
+def _snr_holds(snr):
+    noisy, beta = generators.gen_tucker_noise(generators.NoisySpec((2, 2, 2), snr, 1), (6, 6, 6))
+    clean = generators.gen_tucker_noise(generators.NoisySpec((2, 2, 2), math.inf, 1), (6, 6, 6))[0]
+    assert np.isfinite(noisy).all() and math.isfinite(beta)
+    want = core.frob_norm(clean) * 10.0 ** (-snr / 20.0)
+    assert core.frob_norm(noisy - clean) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def _densities_hold(density):
+    t = generators.gen_sparse_outer(8, densities=(density, 0.5, 0.5), seed=1)
+    # a density of 1e-310 takes no index in mode 1, so no term survives
+    assert t.dims == (8, 8, 8) and t.nnz == 0
+
+
+def _cap_holds(cap):
+    probe = bench.probe_bound(A678, sketch.default_plan((6, 7, 8), (2, 2, 2)), 2, cap=cap)
+    assert not probe.degenerate
+    assert probe.success_fraction == float(np.mean(probe.ratios < cap))
+
+
+REAL_VALUES = (math.nan, math.inf, -math.inf, True, "3", 1e308, 7000, -7000, 1e-310)
+# parameter: (call that checks its result, reprs of the values it must refuse)
+REAL_ENTRIES = {
+    "tol": (_tol_holds, "nan True '3'"),
+    "snr_db": (_snr_holds, "nan -inf True '3' 1e+308 7000 -7000"),
+    "densities": (_densities_hold, "nan inf -inf True '3' 1e+308 7000 -7000"),
+    "cap": (_cap_holds, "nan -inf True '3' -7000"),
+}
+
+
+@pytest.mark.parametrize("value", REAL_VALUES, ids=repr)
+@pytest.mark.parametrize("name", REAL_ENTRIES)
+def test_real_parameters_run_correctly_or_are_refused_by_name(name, value):
+    check, refused = REAL_ENTRIES[name]
+    if repr(value) in refused.split():
+        with pytest.raises(ValueError, match=name):
+            check(value)
+    else:
+        check(value)
 
 
 def test_numpy_integers_are_counts():

@@ -391,6 +391,18 @@ def test_results_hold_at_any_finite_scale(dims, k):
         assert len(apx.fit_history) == len(ref.fit_history), alg
 
 
+@pytest.mark.parametrize("value", [1e-310, 2.0**-1030, 5e-324])
+def test_all_subnormal_tensors_have_a_norm_and_an_rlne(value):
+    # max|x| below 2^-1024 would need a scale past 2^1023; it stops there
+    a = np.full((5, 5, 5), value)
+    for x in (a, sparse_copy(a)):
+        assert core.frob_norm(x) == pytest.approx(math.sqrt(125) * value, rel=1e-12, abs=0.0)
+        for alg in tucker.ALGORITHMS:
+            err = ts.rlne(x, ts.decompose(x, alg, (2, 2, 2), seed=1))
+            # a rank-1 tensor; below ~1e-320 the sketches round to a few bits
+            assert err < 1e-12 if value > 1e-320 else math.isfinite(err), alg
+
+
 def test_decompose_rejects_unknown_algorithm():
     with pytest.raises(ValueError, match="valid names"):
         ts.decompose(np.ones((3, 3, 3)), "cp_als", (1, 1, 1))
@@ -774,7 +786,11 @@ def test_sparse_batch_sketches_each_mode_from_the_input():
     s = ts.gen_random_sparse((30, 25, 20), 400, seed=3)
     plan = default_plan(s.dims, (4, 3, 5), oversampling=5, seed=2)
     apx = ts.tucker_svd_batch(s, plan)
-    ref = tucker._tucker(s, plan.target_rank, tucker._sketch_basis(plan), sequential=False)
+
+    def basis(c, n, mu):
+        return linalg.fixed_rank_basis(sketch_mode(s, n, plan, ts.GaussianStream(plan.seed, n)), mu)
+
+    ref = tucker._tucker(s, plan.target_rank, basis, sequential=False)
     assert apx.core.tobytes() == ref.core.tobytes()
     for q, q_ref in zip(apx.factors, ref.factors):
         assert q.tobytes() == q_ref.tobytes()
