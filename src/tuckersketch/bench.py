@@ -163,7 +163,8 @@ def mode_singular_values(a):
 
 def oracle_floor(svals, target_rank):
     """max_n Delta_{mu_n + 1}: no rank-(mu) approximation can beat this."""
-    return max(delta_tail(s, mu + 1) for s, mu in zip(svals, target_rank))
+    return max(delta_tail(s, positive_int(mu, "target rank") + 1)
+               for s, mu in zip(svals, target_rank))
 
 
 def check_inequality13(a, approx):

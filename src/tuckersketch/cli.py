@@ -17,16 +17,19 @@ from .sketch import default_plan
 from .tucker import ALGORITHMS, Metrics, RankTooLargeError, decompose, rlne
 
 
-def _ints(text):
-    return tuple(int(tok) for tok in text.replace("x", ",").split(",") if tok)
+def _numbers(kind, text, flag):
+    try:
+        return tuple(kind(tok) for tok in text.replace("x", ",").split(",") if tok)
+    except ValueError:
+        raise ValueError(f"{flag} must list {kind.__name__}s, got {text!r}") from None
 
 
-def _floats(text):
-    return tuple(float(tok) for tok in text.split(",") if tok)
+def _ints(text, flag):
+    return _numbers(int, text, flag)
 
 
 def _rank_for(a, text):
-    rank = _ints(text)
+    rank = _ints(text, "--rank")
     if len(rank) == 1:
         rank = rank * len(dims_of(a))
     return rank
@@ -37,11 +40,11 @@ def cmd_gen(args):
         raise ValueError("--core-dims is required for the tucker_noise family")
     t = generators.generate(
         args.family,
-        _ints(args.dims),
+        _ints(args.dims, "--dims"),
         seed=args.seed,
         nnz=args.nnz,
-        densities=_floats(args.densities) if args.densities else None,
-        core_dims=_ints(args.core_dims) if args.core_dims else None,
+        densities=_numbers(float, args.densities, "--densities") if args.densities else None,
+        core_dims=_ints(args.core_dims, "--core-dims") if args.core_dims else None,
         snr_db=args.snr_db,
     )
     tensor_io.write_tensor(t, args.out)
@@ -52,7 +55,7 @@ def cmd_gen(args):
 def cmd_decompose(args):
     a = tensor_io.read_tensor(args.tensor)
     rank = _rank_for(a, args.rank)
-    lprime = _ints(args.lprime) if args.lprime else None
+    lprime = _ints(args.lprime, "--lprime") if args.lprime else None
     t0 = time.perf_counter()
     approx = decompose(
         a,

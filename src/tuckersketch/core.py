@@ -32,8 +32,10 @@ Every decomposition and ``rlne`` check their input here and nowhere else:
 :func:`check_tensor` and :func:`check_rank` raise ``ValueError`` naming a
 complex or 0-d tensor, or a rank such as 2.7, ``True`` or ``'2'``.
 Finiteness is checked where it is free: on what ``linalg`` factors. Every
-other count (dims, seeds, oversampling, ``nnz``, iterations) passes the same
-rule, :func:`positive_int` with a lower bound of 0 or 1, or :func:`check_dims`,
+other count (dims, seeds, oversampling, ``nnz``, iterations, modes) passes the
+same rule, :func:`positive_int` with a lower bound of 0 or 1 and, for a
+seed (:func:`check_seed`), a dim (:func:`check_dims`) or a mode
+(:func:`check_mode`), the upper bound of what it indexes,
 and every real parameter (a tolerance, an SNR, a density, a cap) passes
 :func:`real_number` before its own range check.
 """
@@ -48,11 +50,28 @@ class RankTooLargeError(ValueError):
     """Requested multilinear rank exceeds a tensor dimension."""
 
 
-def positive_int(x, what, low=1):
-    """``x`` as an int >= ``low``; a bool, float or string is refused, not truncated."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
-        raise ValueError(f"{what} must be an integer >= {low}, got {x!r}")
+def positive_int(x, what, low=1, high=None):
+    """``x`` as an int in ``low``..``high`` (no upper bound when ``high`` is None).
+
+    A bool, float or string is refused, not truncated.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low or (
+        high is not None and x > high
+    ):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{what} must be an integer {bounds}, got {x!r}")
     return int(x)
+
+
+# the largest seed or stream id: each is one 64-bit word of a Philox key
+KEY_MAX = 2**64 - 1
+# the largest dim: coordinates are int64
+DIM_MAX = 2**63 - 1
+
+
+def check_seed(seed):
+    """``seed`` as an int in 0..``KEY_MAX``."""
+    return positive_int(seed, "seed", 0, KEY_MAX)
 
 
 def real_number(x, what):
@@ -68,7 +87,7 @@ def real_number(x, what):
 
 def check_dims(dims):
     """``dims`` as a tuple of ints >= 1, one per mode."""
-    return tuple(positive_int(d, f"dim for mode {n}") for n, d in enumerate(dims, 1))
+    return tuple(positive_int(d, f"dim for mode {n}", 1, DIM_MAX) for n, d in enumerate(dims, 1))
 
 
 def check_rank(dims, target_rank):
@@ -113,9 +132,9 @@ def pow2_scale(x):
     return math.ldexp(1.0, min(-math.frexp(top)[1], 1023)) if 0.0 < top < math.inf else 1.0
 
 
-def _check_mode(mode, ndim):
-    if not 1 <= mode <= ndim:
-        raise ValueError(f"mode must be in 1..{ndim}, got {mode}")
+def check_mode(mode, ndim):
+    """``mode`` as an int in 1..``ndim``."""
+    return positive_int(mode, "mode", 1, ndim)
 
 
 def unfold(t, mode):
@@ -125,17 +144,17 @@ def unfold(t, mode):
     the remaining modes in ascending order with the earliest varying fastest.
     """
     t = np.asarray(t, dtype=np.float64)
-    _check_mode(mode, t.ndim)
+    mode = check_mode(mode, t.ndim)
     return np.reshape(np.moveaxis(t, mode - 1, 0), (t.shape[mode - 1], -1), order="F")
 
 
 def fold(mat, mode, dims):
     """Inverse of :func:`unfold`: rebuild the tensor of shape ``dims``."""
     dims = check_dims(dims)
-    _check_mode(mode, len(dims))
+    mode = check_mode(mode, len(dims))
     mat = np.asarray(mat, dtype=np.float64)
     rest = tuple(d for i, d in enumerate(dims) if i != mode - 1)
-    if mat.shape != (dims[mode - 1], int(np.prod(rest, dtype=np.int64))):
+    if mat.shape != (dims[mode - 1], math.prod(rest)):
         raise ValueError(
             f"matrix shape {mat.shape} does not match dims {dims} for mode {mode}"
         )
@@ -158,7 +177,7 @@ def mode_product(t, mode, b):
     if not sparse:
         t = np.asarray(t, dtype=np.float64)
     dims = dims_of(t)
-    _check_mode(mode, len(dims))
+    mode = check_mode(mode, len(dims))
     if b.shape[1] != dims[mode - 1]:
         raise ValueError(
             f"matrix has {b.shape[1]} columns, mode {mode} has size {dims[mode - 1]}"
@@ -313,7 +332,7 @@ class SparseTensor:
         # scipy.sparse on first use keeps it out of dense runs altogether
         import scipy.sparse
 
-        _check_mode(mode, self.ndim)
+        mode = check_mode(mode, self.ndim)
         rows = self.coords[:, mode - 1]
         other = [m for m in range(self.ndim) if m != mode - 1]
         rest = tuple(self.dims[m] for m in other)

@@ -134,10 +134,7 @@ def fixed_rank_basis(a, mu):
     orthonormal completion.
     """
     a = np.asarray(a, dtype=np.float64)
-    if not 1 <= mu <= min(a.shape):
-        raise ValueError(
-            f"basis width must be in 1..{min(a.shape)} for shape {a.shape}, got {mu}"
-        )
+    mu = positive_int(mu, f"basis width for shape {a.shape}", 1, min(a.shape))
     u, sig, _ = svd(a)
     return u[:, :mu], numerical_rank(sig[:mu])
 

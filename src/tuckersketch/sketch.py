@@ -25,8 +25,11 @@ order: decreasing shrink ratio, ties to the two ends of memory first.
 tensor whose outermost mode in memory, p, is longer than the sum of the
 other modes' widths L_{n,p}, it contracts mode p once for all of them (their
 G_{n,p} stacked into one GEMM) and finishes each chain with
-:func:`sketch_mode` from that mode's block. The draws are the same, so the
-sketches agree up to roundoff.
+:func:`sketch_mode` from that mode's block. Mode p's own sketch waits for
+the other modes' bases Q_m: :func:`sketch_and_project` then reads the tensor
+once more, in slabs along p, for both that sketch and the tensor projected
+onto the Q_m, so a dense batch run reads its input twice. The draws are the
+same, so the sketches agree up to roundoff.
 """
 
 import math
@@ -38,13 +41,17 @@ import numpy as np
 # imports lazily inside the first timed draw
 import numpy.random  # noqa: F401
 
-from .core import (SparseTensor, check_dims, check_rank, dims_of, memory_axes, mode_product,
-                   mode_products, mode_view, positive_int, unfold)
+from .core import (KEY_MAX, SparseTensor, check_dims, check_mode, check_rank, check_seed,
+                   contraction_order, dims_of, memory_axes, mode_product, mode_products,
+                   mode_view, positive_int, unfold)
+
+# entries per slab of the input in the fused pass of sketch_and_project (8 MiB of doubles)
+_FUSED_SLAB = 1 << 20
 
 
 def philox_rng(seed, stream_id):
-    """numpy Generator over Philox keyed by (seed, stream_id), integers >= 0."""
-    key = np.array([positive_int(seed, "seed", 0), positive_int(stream_id, "stream id", 0)],
+    """numpy Generator over Philox keyed by (seed, stream_id), integers in 0..2^64-1."""
+    key = np.array([check_seed(seed), positive_int(stream_id, "stream id", 0, KEY_MAX)],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -52,21 +59,21 @@ def philox_rng(seed, stream_id):
 class GaussianStream:
     """Deterministic stream of standard normal variates.
 
-    The variate sequence depends only on ``(seed, stream_id)``, integers >= 0
-    (2.7, ``True`` or ``'3'`` raise ``ValueError``); splitting one request into
-    several yields the same sequence (odd leftovers are buffered).
+    The variate sequence depends only on ``(seed, stream_id)``, integers in
+    0..2^64-1 (2.7, ``True``, ``'3'`` or 2^64 raise ``ValueError``);
+    splitting one request into several yields the same sequence (odd
+    leftovers are buffered).
     """
 
     def __init__(self, seed, stream_id=0):
-        self.seed = positive_int(seed, "seed", 0)
-        self.stream_id = positive_int(stream_id, "stream id", 0)
+        self.seed = check_seed(seed)
+        self.stream_id = positive_int(stream_id, "stream id", 0, KEY_MAX)
         self._gen = philox_rng(self.seed, self.stream_id)
         self._carry = None
 
     def fork(self, tag):
         """Child stream with id ``256 * stream_id + tag`` (tag in 0..255)."""
-        if positive_int(tag, "fork tag", 0) > 255:
-            raise ValueError(f"fork tag must be in 0..255, got {tag}")
+        tag = positive_int(tag, "fork tag", 0, 255)
         return GaussianStream(self.seed, 256 * self.stream_id + tag)
 
     def normals(self, n):
@@ -102,6 +109,7 @@ class GaussianStream:
 
 def gaussian_matrix(stream, rows, cols):
     """rows x cols matrix filled row-major from ``stream``."""
+    rows, cols = positive_int(rows, "rows", 0), positive_int(cols, "cols", 0)
     return stream.normals(rows * cols).reshape(rows, cols)
 
 
@@ -127,8 +135,8 @@ class SketchPlan:
             raise ValueError("target rank must name at least one mode")
         rank = tuple(positive_int(r, "target rank entry") for r in self.target_rank)
         object.__setattr__(self, "target_rank", rank)
-        for name in ("oversampling", "seed"):
-            object.__setattr__(self, name, positive_int(getattr(self, name), name, 0))
+        object.__setattr__(self, "oversampling", positive_int(self.oversampling, "oversampling", 0))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         order = self.order or tuple(range(1, n_modes + 1))
         object.__setattr__(self, "order", tuple(positive_int(p, "order entry") for p in order))
         if sorted(self.order) != list(range(1, n_modes + 1)):
@@ -238,6 +246,7 @@ def sketch_mode(c, n, plan, stream, done=None):
     pass of :func:`batch_sketches`; the other modes follow the same order.
     """
     dims = dims_of(c)
+    n = check_mode(n, len(dims))
     others = [m for m in range(1, len(dims) + 1) if m != n]
     ells = dict(zip(others, plan.sketch_dims[n]))
     rest = [m for m in others if m != done]
@@ -246,30 +255,38 @@ def sketch_mode(c, n, plan, stream, done=None):
 
 
 def batch_sketches(a, plan):
-    """{n: :func:`sketch_mode` of ``a`` for mode n} over the modes with mu_n < I_n.
+    """``(sketches, p)``: {n: :func:`sketch_mode` of ``a`` for mode n} and the fused mode.
 
-    A dense ``a`` shares one pass. Its outermost mode in memory is p
-    (:func:`~tuckersketch.core.memory_axes`; mode 1 for a layout that
-    :func:`mode_product` copies to C order). If the widths L_{n,p} of the other
-    modes sum to less than I_p, their G_{n,p} are stacked row-wise, mode p is
+    The dict covers the modes with mu_n < I_n. A dense ``a`` has an
+    outermost mode in memory p, its slowest axis longer than 1
+    (:func:`~tuckersketch.core.memory_axes`; C order for a layout that
+    :func:`mode_product` copies). If the widths L_{n,p} of the other modes
+    sum to less than I_p, their G_{n,p} are stacked row-wise, mode p is
     contracted once with the stack, and each chain continues from its row
-    block, a contiguous slab. Otherwise the stacked product would be larger
-    than ``a``, and every mode is sketched on its own, as is a sparse ``a``,
-    whose first product is dense and the largest array of the run.
+    block, a contiguous slab; otherwise the stacked product would be larger
+    than ``a``, and each of them is sketched on its own. When p and some
+    other mode need a basis, p's sketch is left out of the dict and p is
+    returned: :func:`sketch_and_project` takes it, once the other bases are
+    known, in the same pass over ``a`` as the core. Otherwise p is ``None``,
+    as for a sparse ``a``, every mode of which is sketched on its own: its
+    first product is dense and the largest array of the run.
     """
     dims = dims_of(a)
     modes = [n for n, (mu, d) in enumerate(zip(plan.target_rank, dims), start=1) if mu < d]
     streams = {n: GaussianStream(plan.seed, n) for n in modes}
-    shared, ells = [], []
+    fused, shared, ells = None, [], []
     if not isinstance(a, SparseTensor):
         a = np.asarray(a)
-        p = (memory_axes(a) or (0,))[0] + 1
+        axes = memory_axes(a) or tuple(range(a.ndim))
+        p = next((m for m in axes if dims[m] > 1), axes[0]) + 1
+        if p in modes and len(modes) > 1:
+            fused = p
         shared = [n for n in modes if n != p]
         # sketch_dims[n] lists L_{n,m} over m != n, so mode p sits at p - 1 or p - 2
         ells = [plan.sketch_dims[n][p - 1 if p < n else p - 2] for n in shared]
         if sum(ells) >= dims[p - 1]:
             shared = []
-    out = {n: sketch_mode(a, n, plan, streams[n]) for n in modes if n not in shared}
+    out = {n: sketch_mode(a, n, plan, streams[n]) for n in modes if n not in shared + [fused]}
     if shared:
         gs = [
             gaussian_matrix(streams[n].fork(p), ell, dims[p - 1]) for n, ell in zip(shared, ells)
@@ -277,7 +294,42 @@ def batch_sketches(a, plan):
         lead = mode_product(a, p, np.vstack(gs))
         for n, block in zip(shared, np.split(lead, np.cumsum(ells)[:-1], axis=p - 1)):
             out[n] = sketch_mode(block, n, plan, streams[n], done=p)
-    return out
+    return out, fused
+
+
+def sketch_and_project(a, p, plan, stream, factors):
+    """``(unfold(a x_m G_{p,m}, p), a x_m Q_m^T)`` over the modes m != p, in one pass.
+
+    ``a`` is dense with mode p outermost in memory, as :func:`batch_sketches`
+    picks it, and ``factors`` maps at least one other mode m to its basis
+    Q_m (I_m x mu_m); a mode without one is not contracted in the second
+    result, which keeps I_p at mode p. The G_{p,m} are the draws of
+    :func:`sketch_mode`. Mode q, the first of
+    :func:`~tuckersketch.core.contraction_order` over the ratios
+    I_q / (L_{p,q} + mu_q), is contracted with G_{p,q} stacked on Q_q^T in
+    one product; each block then continues its own chain. ``a`` is walked in
+    slabs of whole indices of mode p, each a contiguous run of at most
+    ``_FUSED_SLAB`` entries (one index when that is longer), so no
+    intermediate grows with ``a``.
+    """
+    dims = dims_of(a)
+    others = [m for m in range(1, len(dims) + 1) if m != p]
+    ells = dict(zip(others, plan.sketch_dims[p]))
+    ratios = {m: dims[m - 1] / (ells[m] + f.shape[1]) for m, f in factors.items()}
+    q = contraction_order(a, ratios)[0]
+    gs = {m: gaussian_matrix(stream.fork(m), ells[m], dims[m - 1]) for m in others}
+    stack = np.vstack([gs.pop(q), factors[q].T])
+    qts = {m: f.T for m, f in factors.items() if m != q}
+    sketch = np.empty([dims[m - 1] if m == p else ells[m] for m in range(1, len(dims) + 1)])
+    partial = np.empty([factors[m].shape[1] if m in factors else d
+                        for m, d in enumerate(dims, start=1)])
+    step = max(1, _FUSED_SLAB // (a.size // dims[p - 1]))
+    for lo in range(0, dims[p - 1], step):
+        ix = (slice(None),) * (p - 1) + (slice(lo, lo + step),)
+        g, qb = np.split(mode_product(a[ix], q, stack), [ells[q]], axis=q - 1)
+        sketch[ix] = mode_products(g, gs)
+        partial[ix] = mode_products(qb, qts)
+    return unfold(sketch, p), partial
 
 
 def sketch_full_gaussian(c, n, lprime, stream):
@@ -290,6 +342,7 @@ def sketch_full_gaussian(c, n, lprime, stream):
     never densified.
     """
     dims = dims_of(c)
+    n, lprime = check_mode(n, len(dims)), positive_int(lprime, "sketch width")
     others = tuple(d for i, d in enumerate(dims) if i != n - 1)
     omega = gaussian_matrix(stream, math.prod(others), lprime)
     if isinstance(c, SparseTensor):
@@ -319,6 +372,7 @@ def sketch_khatri_rao(c, n, lprime, stream):
     """
     dims = dims_of(c)
     n_modes = len(dims)
+    n, lprime = check_mode(n, n_modes), positive_int(lprime, "sketch width")
     others = [m for m in range(1, n_modes + 1) if m != n]
     omegas = {m: gaussian_matrix(stream.fork(m), dims[m - 1], lprime) for m in others}
     if isinstance(c, SparseTensor):

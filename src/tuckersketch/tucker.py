@@ -32,7 +32,9 @@ from .core import (
     RankTooLargeError,  # noqa: F401  (kept as tucker.RankTooLargeError)
     SparseTensor,
     check_rank,
+    check_seed,
     check_tensor,
+    contraction_order,
     dims_of,
     frob_norm,
     memory_axes,
@@ -48,6 +50,7 @@ from .sketch import (
     batch_sketches,
     default_plan,
     gaussian_matrix,
+    sketch_and_project,
     sketch_full_gaussian,
     sketch_khatri_rao,
     sketch_mode,
@@ -150,12 +153,13 @@ def rlne(a, approx):
     that :func:`~tuckersketch.core.memory_axes` describes is walked as the
     C-contiguous transpose of itself, with the core and factors permuted to
     match, and any other view (a sliced one) in its C index order, without a
-    copy. The core is contracted once with every factor but the fastest
-    axis's into a C-contiguous chain; each slab of the reconstruction is
-    then one GEMM against that factor. Memory is one slab of ``_SLAB``
-    entries plus that core chain, never a tensor-sized array; a
-    :class:`SparseTensor` subtracts its nonzeros from each dense slab
-    instead of being densified. It is correct for any finite entries, the
+    copy. The core is contracted with every factor but the fastest axis's
+    into a C-contiguous chain, one chunk of whole slabs of the slowest axis
+    at a time; each slab of the reconstruction is then one GEMM against that
+    factor. Memory is one slab and one chunk of the chain, each of at most
+    ``_SLAB`` entries when one index of the slowest axis allows it, never a
+    tensor-sized array; a :class:`SparseTensor` subtracts its nonzeros from
+    each dense slab instead of being densified. It is correct for any finite entries, the
     subnormal ones included: a sum of squares outside ``core.SQUARES_RANGE``
     is redone, once, on ``a`` and the core times an exact power of two. Raises
     ``ValueError`` for a non-finite ``a``, for one that
@@ -174,9 +178,11 @@ def rlne(a, approx):
             # walk the C-contiguous transpose: the permuted problem
             t, core = a.transpose(axes), core.transpose(axes)
             factors, dims = [factors[m] for m in axes], t.shape
+    core = np.ascontiguousarray(core)
     chain = dict(enumerate(factors[:-1], start=1))
-    w = np.ascontiguousarray(mode_products(np.ascontiguousarray(core), chain))
-    # w has shape dims[:-1] + (r_N,); slab rows of it times q_t give the slab
+    # the order of mode_products over the whole chain, kept by every chunk
+    chain_order = contraction_order(core, {m: core.shape[m - 1] / q.shape[0]
+                                           for m, q in chain.items()})
     q_t = factors[-1].T
     last = len(dims) - 1
     # a slab fixes the axes before k and takes `step` indices of axis k with
@@ -184,6 +190,13 @@ def rlne(a, approx):
     k = next(k for k in range(len(dims)) if math.prod(dims[k + 1 :]) <= _SLAB)
     inner = math.prod(dims[k + 1 :])
     step = max(1, _SLAB // inner)
+    # the core chain w, of shape dims[:-1] + (r_N,), is built for `span`
+    # indices of axis 0 at a time: whole slabs, and at most _SLAB entries
+    # unless one index holds more; slab rows of it times q_t give the slab
+    span = max(1, _SLAB // (math.prod(dims[1:last]) * q_t.shape[0]))
+    if k == 0:
+        span = max(1, span // step) * step
+    lo = hi = 0
     buf = np.empty(min(step, dims[k]) * inner)
     if sparse:
         blocks = -(-dims[k] // step)
@@ -199,10 +212,18 @@ def rlne(a, approx):
     slabs = itertools.product(np.ndindex(*dims[:k]), range(0, dims[k], step))
     for j, (head, start) in enumerate(slabs):
         ix = head + (slice(start, start + step),)
+        i = head[0] if k else start
+        if i >= hi:
+            lo, hi = i, min(i + span, dims[0])
+            w = core
+            for m in chain_order:
+                w = mode_product(w, m, chain[m][lo:hi] if m == 1 else chain[m])
+            w = np.ascontiguousarray(w)
         shape = (min(step, dims[k] - start),) + dims[k + 1 :]
         cols = ix[last] if k == last else slice(None)
         r = buf[: shape[0] * inner].reshape(shape)
-        rows = w[ix[:last]].reshape(-1, q_t.shape[0])
+        first = i - lo if k else slice(i - lo, i - lo + step)
+        rows = w[((first,) + ix[1:])[:last]].reshape(-1, q_t.shape[0])
         np.matmul(rows, q_t[:, cols], out=r.reshape(-1, shape[-1]))
         if sparse:
             sel = order[bounds[j] : bounds[j + 1]]
@@ -242,13 +263,14 @@ def _input(a, target_rank):
     return a, rank
 
 
-def _tucker(a, target_rank, basis, order=None, sequential=True):
+def _tucker(a, target_rank, basis, order=None, sequential=True, project=_project):
     """Per-mode loop: ``basis(c, n, mu)`` gives (factor, numerical rank).
 
     ``a`` and ``target_rank`` are as :func:`_input` returns them.
     ``sequential`` shrinks the working tensor ``c`` by each factor in ``order``
-    (default 1..N), so ``c`` ends as the core; otherwise the core is one
-    projection of ``a`` at the end.
+    (default 1..N), so ``c`` ends as the core; otherwise ``c`` stays ``a``,
+    and the core is ``project(a, factors)`` at the end, a ``None`` factor
+    marking a mode at full rank.
     """
     dims = dims_of(a)
     c = a
@@ -265,7 +287,7 @@ def _tucker(a, target_rank, basis, order=None, sequential=True):
         if sequential:
             c = mode_product(c, n, q.T)
     if not sequential:
-        c = _project(a, factors)
+        c = project(a, factors)
     if c is a:
         # every mode was full rank: the core must not alias the input
         c = a.densify() if isinstance(a, SparseTensor) else np.array(a, order="C")
@@ -303,27 +325,41 @@ def tucker_svd_batch(a, plan):
 
     For each mode independently, compress all other modes of ``a`` with
     Gaussian matrices, take the rank-mu_n SVD basis of the mode-n unfolding of
-    the sketch, then project ``a`` onto all the bases at once for the core.
+    the sketch, then project ``a`` onto all the bases for the core.
 
     The sketches come from :func:`~tuckersketch.sketch.batch_sketches`. A
-    dense ``a`` whose outermost mode in memory p
+    dense ``a`` is read twice when its outermost mode in memory p
     (:func:`~tuckersketch.core.memory_axes`) is longer than the sum of the
-    other modes' widths L_{n,p} is read three times rather than N+1: mode p is contracted once for every other
+    other modes' widths L_{n,p}: mode p is contracted once for every other
     mode that needs a basis, with their G_{n,p} stacked into one GEMM, and
-    each of those sketches continues from its row block of the product in the
-    decreasing-shrink-ratio order of :func:`sketch_mode`. Mode p's own sketch
-    and the final projection are the other two reads. The draws are those of
-    :func:`sketch_mode`; only the contraction order differs, so the sketches
-    agree with it up to roundoff. Any other ``a``, sparse ones included,
-    sketches each mode separately.
+    each of those sketches continues from its row block of the product. The
+    second read, :func:`~tuckersketch.sketch.sketch_and_project`, gives mode
+    p's sketch and ``a`` projected onto those bases, which mode p's basis,
+    taken last, shrinks to the core. With a shorter p, each other mode is
+    sketched on its own, and ``a`` is read N times, not N + 1. The draws are
+    those of :func:`sketch_mode`; only the contraction order differs, so the
+    sketches and the core agree with the per-mode ones up to roundoff. When
+    mode p, or every other mode, is at full rank, the core is one projection
+    at the end, and a sparse ``a`` sketches each mode separately.
     """
     a, target_rank = _input(a, plan.target_rank)
-    sketches = batch_sketches(a, plan)
+    sketches, p = batch_sketches(a, plan)
+    factors, partial = {}, None
 
     def basis(c, n, mu):
-        return linalg.fixed_rank_basis(sketches.pop(n), mu)
+        nonlocal partial
+        if n == p:
+            sketch, partial = sketch_and_project(a, p, plan, GaussianStream(plan.seed, p), factors)
+        else:
+            sketch = sketches.pop(n)
+        factors[n], rank = linalg.fixed_rank_basis(sketch, mu)
+        return factors[n], rank
 
-    return _tucker(a, target_rank, basis, sequential=False)
+    def project(a, qs):
+        return _project(a, qs) if partial is None else mode_product(partial, p, qs[p - 1].T)
+
+    order = sorted(range(1, len(target_rank) + 1), key=lambda n: n == p)
+    return _tucker(a, target_rank, basis, order, sequential=False, project=project)
 
 
 def tucker_svd_seq(a, plan):
@@ -342,7 +378,7 @@ def tucker_svd_seq(a, plan):
 
 def _qr_tucker(sketcher, a, target_rank, lprime, oversampling, seed):
     """Sequential loop; each basis is the QR of a sketch ``lprime`` wide (one or one per mode)."""
-    seed = positive_int(seed, "seed", 0)
+    seed = check_seed(seed)
     a, target_rank = _input(a, target_rank)
     if lprime is None:
         lprime = [mu + positive_int(oversampling, "oversampling", 0) for mu in target_rank]
@@ -398,6 +434,11 @@ def truncated_hosvd(a, target_rank):
     return _tucker(*_input(a, target_rank), _exact_basis, sequential=False)
 
 
+def _check_init(init):
+    if init not in ("random", "hosvd"):
+        raise ValueError(f"init must be 'random' or 'hosvd', got {init!r}")
+
+
 def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     """Alternating least squares refinement of the factor subspaces.
 
@@ -417,13 +458,12 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     refined and keeps an identity factor, as in every other algorithm;
     ``rank_warnings`` are those of the last sweep.
     """
-    seed = positive_int(seed, "seed", 0)
+    seed = check_seed(seed)
     tol = real_number(tol, "tol")
     a, target_rank = _input(a, target_rank)
     dims = dims_of(a)
     max_iters = positive_int(max_iters, "max_iters")
-    if init not in ("random", "hosvd"):
-        raise ValueError(f"init must be 'random' or 'hosvd', got {init!r}")
+    _check_init(init)
     # _tucker skips full-rank modes, so they get no factor to contract
     factors = [
         None if mu == d
@@ -480,10 +520,11 @@ def decompose(
     input contract of :mod:`tuckersketch.core`: a :class:`SparseTensor` or
     a real array of order >= 1, and one integer in 1..I_n per mode.
     ``seed`` and ``oversampling`` are integers >= 0 and ``lprime``, when
-    given, one integer >= 1 or one per mode, whether or not ``algorithm``
-    uses them; hooi's ``max_iters`` is an integer >= 1 and its ``tol`` a
-    real number other than NaN. Anything else raises ``ValueError`` naming
-    the bad input, and a rank above I_n raises :class:`RankTooLargeError`. A
+    given, one integer >= 1 or one per mode; hooi's ``max_iters`` is an
+    integer >= 1, its ``tol`` a real number other than NaN and its ``init``
+    ``"random"`` or ``"hosvd"``, all whether or not ``algorithm`` uses
+    them. Anything else raises ``ValueError`` naming the bad input, and a
+    rank above I_n raises :class:`RankTooLargeError`. A
     ``plan`` carries its own seed and oversampling, which win over
     ``seed`` and ``oversampling``; ``target_rank`` must equal its rank.
     """
@@ -491,8 +532,10 @@ def decompose(
         raise ValueError(
             f"unknown algorithm {algorithm!r}; valid names: {', '.join(ALGORITHMS)}"
         )
-    seed = positive_int(seed, "seed", 0)
+    seed = check_seed(seed)
     oversampling = positive_int(oversampling, "oversampling", 0)
+    max_iters, tol = positive_int(max_iters, "max_iters"), real_number(tol, "tol")
+    _check_init(init)
     if lprime is not None:
         for x in [lprime] if np.isscalar(lprime) else lprime:
             positive_int(x, "sketch width")

@@ -1,5 +1,7 @@
 """Command line contract tests: exit codes, printed lines, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,99 @@ def test_real_flags_exit_2_on_bad_values_without_a_traceback(tmp_path, capsys, f
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert REAL_FLAGS[flag][0] in err or flag in err
+
+
+@pytest.mark.parametrize("alg", ts.ALGORITHMS)
+@pytest.mark.parametrize("flags, name", [(["--tol=nan"], "tol"), (["--max-iters", "0"],
+                                                                  "max_iters")])
+def test_hooi_flags_exit_2_for_every_algorithm(tmp_path, capsys, alg, flags, name):
+    p = tmp_path / "t.txt"
+    ts.write_tensor(ts.gen_reciprocal_sum((5, 6, 7)), p)
+    assert run(["decompose", str(p), "--algorithm", alg, "--rank", "2"] + flags) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
+EDGE_TEXT = ["nan", "inf", "-inf", "True", "2.5", "1e308", "1e-310", "-7000", "7000",
+             str(2**64)]
+
+
+def _flag_table(tmp_path):
+    """flag -> (argv taking the value, names the error may give)."""
+    t = str(tmp_path / "t.txt")
+    ts.write_tensor(ts.gen_reciprocal_sum((5, 6, 7)), t)
+    out = ["--out", str(tmp_path / "g.txt")]
+    dec = ["decompose", t, "--rank", "2", "--algorithm"]
+    prb = ["probe", t, "--rank", "2", "--trials", "2"]
+    return {
+        "gen --dims": (lambda v: ["gen", "reciprocal_sum", "--dims", f"6,6,{v}"] + out,
+                       "--dims|dim for mode 3"),
+        "gen --seed": (
+            lambda v: ["gen", "random_sparse", "--dims", "6,6,6", "--nnz", "10", "--seed", v]
+            + out, "--seed|seed"),
+        "gen --nnz": (lambda v: ["gen", "random_sparse", "--dims", "6,6,6", "--nnz", v] + out,
+                      "--nnz|nnz"),
+        "gen --densities": (
+            lambda v: ["gen", "sparse_outer", "--dims", "8,8,8", "--densities", f"{v},.5,.5"]
+            + out, "--densities|densities"),
+        "gen --core-dims": (
+            lambda v: ["gen", "tucker_noise", "--dims", "6,6,6", "--core-dims", f"2,2,{v}"]
+            + out, "--core-dims|core dim for mode 3"),
+        "gen --snr-db": (
+            lambda v: ["gen", "tucker_noise", "--dims", "6,6,6", "--core-dims", "2,2,2",
+                       f"--snr-db={v}"] + out, "--snr-db|snr_db"),
+        "decompose --rank": (lambda v: ["decompose", t, "--algorithm", "tucker_svd_seq",
+                                        "--rank", v], "--rank|target rank"),
+        "decompose --oversampling": (lambda v: dec + ["tucker_svd_seq", "--oversampling", v],
+                                     "--oversampling|oversampling"),
+        "decompose --lprime": (lambda v: dec + ["ran_tucker", "--lprime", v],
+                               "--lprime|sketch width"),
+        "decompose --seed": (lambda v: dec + ["tucker_svd_batch", "--seed", v], "--seed|seed"),
+        "decompose --max-iters": (lambda v: dec + ["hooi", "--max-iters", v],
+                                  "--max-iters|max_iters"),
+        "decompose --tol": (lambda v: dec + ["hooi", f"--tol={v}"], "--tol|tol"),
+        "probe --rank": (lambda v: ["probe", t, "--trials", "2", "--rank", v],
+                         "--rank|target rank"),
+        "probe --trials": (lambda v: ["probe", t, "--rank", "2", "--trials", v],
+                           "--trials|trials"),
+        "probe --cap": (lambda v: prb + [f"--cap={v}"], "--cap|cap"),
+        "probe --oversampling": (lambda v: prb + ["--oversampling", v],
+                                 "--oversampling|oversampling"),
+        "probe --seed": (lambda v: prb + ["--seed", v], "--seed|seed"),
+    }
+
+
+# 2**64 sizes an array wherever it is not a key or a dim: numpy's
+# MemoryError, not pinned here; 7000 trials cost seconds
+LEFT_OUT = {
+    "decompose --oversampling": (str(2**64),),
+    "decompose --lprime": (str(2**64),),
+    "probe --trials": (str(2**64), "7000"),
+    "probe --oversampling": (str(2**64),),
+}
+FLAGS = [
+    "gen --dims", "gen --seed", "gen --nnz", "gen --densities", "gen --core-dims",
+    "gen --snr-db", "decompose --rank", "decompose --oversampling", "decompose --lprime",
+    "decompose --seed", "decompose --max-iters", "decompose --tol", "probe --rank",
+    "probe --trials", "probe --cap", "probe --oversampling", "probe --seed",
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value", [(f, v) for f in FLAGS for v in EDGE_TEXT if v not in LEFT_OUT.get(f, ())]
+)
+def test_every_numeric_flag_runs_or_exits_2_naming_it(tmp_path, capsys, flag, value):
+    argv, names = _flag_table(tmp_path)[flag]
+    try:
+        code = run(argv(value))
+    except SystemExit as exc:  # argparse refuses what int() or float() cannot read
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # a rank above a dim is exit 3
+    assert code in (0, 2, 3), err
+    if code:
+        assert re.search(names, err), err
 
 
 def test_tol_minus_inf_runs_every_sweep(tmp_path, capsys):

@@ -6,6 +6,7 @@ fastest); everything else must stay consistent with them.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -352,11 +353,11 @@ A678 = np.random.default_rng(0).standard_normal((6, 7, 8))
 WIDE = {n: (4, 4) for n in (1, 2, 3)}
 
 # entry -> (call taking the count v, what the error names, out-of-range values);
-# SketchPlan's counts and hooi's max_iters have their own parametrized tests
+# SketchPlan's counts have their own parametrized test
 COUNT_ENTRIES = {
     **{
         f"decompose {alg} seed": (
-            lambda v, alg=alg: ts.decompose(A678, alg, (2, 2, 2), seed=v), "seed", (-1,)
+            lambda v, alg=alg: ts.decompose(A678, alg, (2, 2, 2), seed=v), "seed", (-1, 2**64)
         )
         for alg in ts.ALGORITHMS
     },
@@ -368,7 +369,15 @@ COUNT_ENTRIES = {
         )
         for alg in ts.ALGORITHMS
     },
-    # checked whether or not the algorithm uses it
+    # checked whether or not the algorithm uses them
+    **{
+        f"decompose {alg} max_iters": (
+            lambda v, alg=alg: ts.decompose(A678, alg, (2, 2, 2), max_iters=v),
+            "max_iters",
+            (0,),
+        )
+        for alg in ts.ALGORITHMS
+    },
     **{
         f"decompose {alg} lprime": (
             lambda v, alg=alg: ts.decompose(A678, alg, (2, 2, 2), lprime=v),
@@ -378,10 +387,17 @@ COUNT_ENTRIES = {
         for alg in ts.ALGORITHMS
     },
     # checked at entry, also where no Gaussian is drawn
-    "ran_tucker seed": (lambda v: ts.ran_tucker(A678, A678.shape, seed=v), "seed", (-1,)),
-    "kr_tucker seed": (lambda v: ts.kr_tucker(A678, A678.shape, seed=v), "seed", (-1,)),
+    "ran_tucker seed": (lambda v: ts.ran_tucker(A678, A678.shape, seed=v), "seed", (-1, 2**64)),
+    "kr_tucker seed": (lambda v: ts.kr_tucker(A678, A678.shape, seed=v), "seed", (-1, 2**64)),
+    **{
+        f"{fn.__name__} {name}": (
+            lambda v, fn=fn, name=name: fn(A678, (2, 2, 2), **{name: v}), what, (bad,)
+        )
+        for fn in (ts.ran_tucker, ts.kr_tucker)
+        for name, what, bad in (("lprime", "sketch width", 1), ("oversampling", "oversampling", -1))
+    },
     "hooi seed": (
-        lambda v: ts.hooi(A678, (2, 2, 2), seed=v, init="hosvd"), "seed", (-1,)
+        lambda v: ts.hooi(A678, (2, 2, 2), seed=v, init="hosvd"), "seed", (-1, 2**64)
     ),
     "default_plan dims": (
         lambda v: sketch.default_plan((v, 7, 8), (2, 2, 2)), "dim for mode 1", (0,)
@@ -390,26 +406,31 @@ COUNT_ENTRIES = {
         lambda v: sketch.default_plan((6, 7, 8), (2, 2, 2), v), "oversampling", (-1,)
     ),
     "default_plan seed": (
-        lambda v: sketch.default_plan((6, 7, 8), (2, 2, 2), seed=v), "seed", (-1,)
+        lambda v: sketch.default_plan((6, 7, 8), (2, 2, 2), seed=v), "seed", (-1, 2**64)
     ),
     "guarantee_gaps dims": (
         lambda v: sketch.guarantee_gaps(sketch.SketchPlan((2, 2, 2), 0, WIDE), (6, v, 8)),
         "dim for mode 2",
         (0,),
     ),
-    "GaussianStream seed": (lambda v: sketch.GaussianStream(v), "seed", (-1,)),
-    "GaussianStream stream id": (lambda v: sketch.GaussianStream(1, v), "stream id", (-1,)),
+    "GaussianStream seed": (lambda v: sketch.GaussianStream(v), "seed", (-1, 2**64)),
+    "GaussianStream stream id": (lambda v: sketch.GaussianStream(1, v), "stream id", (-1, 2**64)),
     "normals": (lambda v: sketch.GaussianStream(1).normals(v), "variate count", (-1,)),
     "fork": (lambda v: sketch.GaussianStream(1).fork(v), "fork tag", (-1, 256)),
-    "philox_rng seed": (lambda v: sketch.philox_rng(v, 0), "seed", (-1,)),
-    "philox_rng stream id": (lambda v: sketch.philox_rng(0, v), "stream id", (-1,)),
+    "philox_rng seed": (lambda v: sketch.philox_rng(v, 0), "seed", (-1, 2**64)),
+    "philox_rng stream id": (lambda v: sketch.philox_rng(0, v), "stream id", (-1, 2**64)),
     "SparseTensor dims": (
         lambda v: core.SparseTensor((v, 7), [[0, 0]], [1.0]), "dim for mode 1", (0,)
     ),
     "accumulate_sparse dims": (
         lambda v: core.accumulate_sparse((6, v), [[0, 0]], [1.0]), "dim for mode 2", (0,)
     ),
-    "fold dims": (lambda v: core.fold(np.zeros((6, 56)), 1, (6, 7, v)), "dim for mode 3", (0,)),
+    # any other dims do not match the matrix
+    "fold dims": (
+        lambda v: core.fold(np.zeros((6, 56)), 1, (6, 7, v)),
+        "dim for mode 3|does not match dims",
+        (0,),
+    ),
     "gen_reciprocal_sum dims": (
         lambda v: generators.gen_reciprocal_sum((v, 6, 6)), "dim for mode 1", (0,)
     ),
@@ -417,7 +438,10 @@ COUNT_ENTRIES = {
         lambda v: generators.gen_log_reciprocal((6, 6, v)), "dim for mode 3", (0,)
     ),
     "gen_sparse_outer i_dim": (lambda v: generators.gen_sparse_outer(v), "i_dim", (0,)),
-    "gen_sparse_outer seed": (lambda v: generators.gen_sparse_outer(6, seed=v), "seed", (-1,)),
+    "gen_sparse_outer seed": (
+        lambda v: generators.gen_sparse_outer(6, seed=v), "seed", (-1, 2**64)
+    ),
+    "gen_sparse_outer order": (lambda v: generators.gen_sparse_outer(6, order=v), "order", (0,)),
     "gen_random_sparse dims": (
         lambda v: generators.gen_random_sparse((6, v, 6), 10), "dim for mode 2", (0,)
     ),
@@ -425,7 +449,7 @@ COUNT_ENTRIES = {
         lambda v: generators.gen_random_sparse((6, 6, 6), v), "nnz", (-1, 217)
     ),
     "gen_random_sparse seed": (
-        lambda v: generators.gen_random_sparse((6, 6, 6), 10, seed=v), "seed", (-1,)
+        lambda v: generators.gen_random_sparse((6, 6, 6), 10, seed=v), "seed", (-1, 2**64)
     ),
     "gen_tucker_noise dims": (
         lambda v: generators.gen_tucker_noise(generators.NoisySpec((2, 2, 2), 20.0), (6, v, 6)),
@@ -440,7 +464,7 @@ COUNT_ENTRIES = {
     "gen_tucker_noise seed": (
         lambda v: generators.gen_tucker_noise(generators.NoisySpec((2, 2, 2), 20.0, v), (6,) * 3),
         "seed",
-        (-1,),
+        (-1, 2**64),
     ),
     "generate dims": (
         lambda v: generators.generate("reciprocal_sum", (6, 6, v)), "dim for mode 3", (0,)
@@ -449,7 +473,7 @@ COUNT_ENTRIES = {
         lambda v: generators.generate("random_sparse", (6, 6, 6), nnz=v), "nnz", (-1,)
     ),
     "generate seed": (
-        lambda v: generators.generate("random_sparse", (6, 6, 6), v, 10), "seed", (-1,)
+        lambda v: generators.generate("random_sparse", (6, 6, 6), v, 10), "seed", (-1, 2**64)
     ),
     "probe_bound trials": (
         lambda v: bench.probe_bound(A678, sketch.default_plan((6, 7, 8), (2, 2, 2)), v),
@@ -457,6 +481,43 @@ COUNT_ENTRIES = {
         (0,),
     ),
     "delta_tail k": (lambda v: linalg.delta_tail([3.0, 2.0, 1.0], v), "tail index", (0,)),
+    "fixed_rank_basis mu": (lambda v: linalg.fixed_rank_basis(A678[0], v), "basis width", (0, 8)),
+    "oracle_floor rank": (
+        lambda v: bench.oracle_floor(bench.mode_singular_values(A678), (2, 2, v)),
+        "target rank",
+        (0,),
+    ),
+    "gaussian_matrix rows": (
+        lambda v: sketch.gaussian_matrix(sketch.GaussianStream(1), v, 2), "rows", (-1,)
+    ),
+    "gaussian_matrix cols": (
+        lambda v: sketch.gaussian_matrix(sketch.GaussianStream(1), 2, v), "cols", (-1,)
+    ),
+    **{
+        f"{fn.__name__} lprime": (
+            lambda v, fn=fn: fn(A678, 1, v, sketch.GaussianStream(1)), "sketch width", (0,)
+        )
+        for fn in (sketch.sketch_full_gaussian, sketch.sketch_khatri_rao)
+    },
+    # a mode is one of 1..N
+    "mode_product mode": (lambda v: core.mode_product(A678, v, np.ones((2, 6))), "mode", (0, 4)),
+    "unfold mode": (lambda v: core.unfold(A678, v), "mode", (0, 4)),
+    "fold mode": (lambda v: core.fold(np.zeros((6, 56)), v, (6, 7, 8)), "mode", (0, 4)),
+    "unfold_csr mode": (
+        lambda v: core.SparseTensor((6, 7, 8), [[0, 0, 0]], [1.0]).unfold_csr(v), "mode", (0, 4)
+    ),
+    "sketch_mode n": (
+        lambda v: sketch.sketch_mode(A678, v, sketch.default_plan((6, 7, 8), (2, 2, 2)),
+                                     sketch.GaussianStream(1)),
+        "mode",
+        (0, 4),
+    ),
+    **{
+        f"{fn.__name__} n": (
+            lambda v, fn=fn: fn(A678, v, 3, sketch.GaussianStream(1)), "mode", (0, 4)
+        )
+        for fn in (sketch.sketch_full_gaussian, sketch.sketch_khatri_rao)
+    },
 }
 
 
@@ -468,6 +529,37 @@ def test_counts_are_refused_by_name_not_truncated(entry, value):
     call, names, _ = COUNT_ENTRIES[entry]
     with pytest.raises(ValueError, match=names):
         call(value)
+
+
+# values past the ends of a count. 2**64 goes to the counts that size
+# nothing: a key (a seed, a stream id) refuses it, as a dim or a mode does,
+# and max_iters takes it. A count that sizes an array is not fed 2**64:
+# numpy's MemoryError is the answer there, not pinned here. Where 7000 sizes
+# the work of a probe or a generator, it is left out for time.
+EDGE_COUNTS = (math.nan, math.inf, -math.inf, 1e308, 1e-310, -7000, 7000, 2**64)
+SIZES_NOTHING = "seed|stream id|dim for|mode|fork tag|max_iters"
+COSTLY = ("probe_bound trials", "gen_sparse_outer i_dim", "gen_sparse_outer order")
+
+
+def _edge_cases():
+    for entry, (_, names, _) in COUNT_ENTRIES.items():
+        for v in EDGE_COUNTS:
+            if v == 2**64 and not re.match(SIZES_NOTHING, names):
+                continue
+            if v == 7000 and entry in COSTLY:
+                continue
+            yield entry, v
+
+
+@pytest.mark.parametrize("entry, value", list(_edge_cases()), ids=str)
+def test_counts_run_or_are_refused_by_name_at_the_edges(entry, value):
+    call, names, _ = COUNT_ENTRIES[entry]
+    try:
+        call(value)
+    except ValueError as exc:
+        assert re.search(names, str(exc)), exc
+    else:
+        assert isinstance(value, int) and value >= 0
 
 
 def _tol_holds(tol):

@@ -150,6 +150,18 @@ def test_hooi_tol_is_a_real_number(tol):
         ts.decompose(a, "hooi", (2, 2, 2), tol=tol)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"tol": math.nan}, "tol"), ({"tol": "x"}, "tol"), ({"max_iters": 0}, "max_iters"),
+     ({"init": "bogus"}, "init")],
+)
+@pytest.mark.parametrize("alg", tucker.ALGORITHMS)
+def test_decompose_checks_hooi_parameters_for_every_algorithm(alg, kwargs, name):
+    a = np.random.default_rng(0).standard_normal((6, 7, 8))
+    with pytest.raises(ValueError, match=name):
+        ts.decompose(a, alg, (2, 2, 2), **kwargs)
+
+
 def test_sparse_hosvd_takes_the_dense_rank_rule():
     # rank 1: the Gram eigenvalues' roundoff gives sigma_2 / sigma_1 near
     # 1e-8 after the square root, which must not pass for rank
@@ -491,6 +503,15 @@ def test_rlne_streams_without_a_tensor_sized_array(order):
     assert peak_bytes_of_rlne(a, apx) < 0.2 * a.nbytes
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_rlne_builds_the_core_chain_in_chunks(order):
+    # in C order the chain over every factor but the fastest axis's is
+    # 100 x 100 x 100 at this rank: whole, it and the slab were 1.26 a.nbytes
+    a = np.asarray(ts.gen_reciprocal_sum((100, 100, 100)), order=order)
+    apx = ts.decompose(a, "tucker_svd_seq", (5, 5, 100), seed=0)
+    assert peak_bytes_of_rlne(a, apx) < 0.9 * a.nbytes
+
+
 def test_sparse_rlne_never_densifies():
     # one slab of 6 x 200 x 200 (0.03 of the dense size) plus the core
     # chain 200 x 200 x 3 (0.015)
@@ -657,8 +678,9 @@ def test_every_algorithm_agrees_across_dense_c_dense_f_and_sparse(case):
 
 
 # (dims, rank): orders 2-5, a full-rank mode at the shared mode of C order
-# (1), of F order (N), and elsewhere, and an outermost mode too short to share
-# in C order (its widths sum to 6 > 3)
+# (1), of F order (N), and elsewhere, an outermost mode too short to share
+# in C order (its widths sum to 6 > 3), every mode but C order's outermost
+# at full rank, and a size-1 mode outermost in C order
 SHARED_PASS_CASES = [
     ((9, 8), (2, 3)),
     ((8, 7, 6), (2, 3, 2)),
@@ -668,56 +690,98 @@ SHARED_PASS_CASES = [
     ((8, 7, 6), (2, 3, 6)),
     ((6, 5, 4, 5), (2, 5, 3, 2)),
     ((3, 8, 8), (2, 2, 2)),
+    ((8, 7, 6), (2, 7, 6)),
+    ((1, 8, 7, 6), (1, 2, 3, 2)),
 ]
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "slice", "moveaxis"])
 @pytest.mark.parametrize("dims, rank", SHARED_PASS_CASES)
 def test_batch_sketches_equal_the_per_mode_sketches(monkeypatch, dims, rank, layout):
-    # the shared first contraction only reorders each mode's chain
+    # the shared first contraction and the fused last pass only reorder each
+    # mode's chain; the fused mode's basis comes last
     a = tensor_in_layout(dims, layout, np.random.default_rng(len(dims)))
     plan = default_plan(dims, rank, oversampling=3, seed=6)
-    sketches = []
+    sketches, fused = [], []
 
     def spy(b, mu):
         sketches.append(b)
         return fixed_rank_basis(b, mu)
 
-    fixed_rank_basis = linalg.fixed_rank_basis
+    def batch_spy(a, plan):
+        out = batch_sketches(a, plan)
+        fused.append(out[1])
+        return out
+
+    fixed_rank_basis, batch_sketches = linalg.fixed_rank_basis, tucker.batch_sketches
     monkeypatch.setattr(linalg, "fixed_rank_basis", spy)
-    ts.tucker_svd_batch(a, plan)
+    monkeypatch.setattr(tucker, "batch_sketches", batch_spy)
+    apx = ts.tucker_svd_batch(a, plan)
     modes = [n for n, (d, mu) in enumerate(zip(dims, rank), start=1) if mu < d]
-    assert len(sketches) == len(modes)
-    for n, b in zip(modes, sketches):
+    by_mode = dict(zip(sorted(modes, key=lambda n: n == fused[0]), sketches))
+    assert len(sketches) == len(modes) == len(by_mode)
+    for n in modes:
         ref = sketch_mode(a, n, plan, ts.GaussianStream(plan.seed, n))
-        np.testing.assert_allclose(b, ref, rtol=0, atol=1e-12 * np.linalg.norm(ref))
+        np.testing.assert_allclose(by_mode[n], ref, rtol=0, atol=1e-12 * np.linalg.norm(ref))
+    ref_core = tucker._project(np.asarray(a), [q if q.shape[0] > q.shape[1] else None
+                                               for q in apx.factors])
+    np.testing.assert_allclose(apx.core, ref_core, rtol=0, atol=1e-12 * np.linalg.norm(a))
+
+
+@pytest.mark.parametrize("slab", [1, 7, 50, 200])
+@pytest.mark.parametrize("layout", ["C", "F", "moveaxis"])
+def test_fused_pass_is_the_same_in_slabs_of_any_size(monkeypatch, slab, layout):
+    # slabs of one index of the fused mode upward, with a ragged last slab
+    dims, rank = (9, 5, 4, 7), (2, 2, 3, 2)
+    a = tensor_in_layout(dims, layout, np.random.default_rng(3))
+    plan = default_plan(dims, rank, oversampling=3, seed=1)
+    ref = ts.tucker_svd_batch(a, plan)
+    monkeypatch.setattr(sketch, "_FUSED_SLAB", slab)
+    apx = ts.tucker_svd_batch(a, plan)
+    np.testing.assert_allclose(apx.core, ref.core, rtol=0, atol=1e-12 * np.linalg.norm(a))
+    for q, q_ref in zip(apx.factors, ref.factors):
+        np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize(
-    "dims, layout, reads",
+    "dims, rank, layout, reads",
     [
-        ((12, 7, 12), "C", 3),
-        ((12, 7, 12), "F", 3),
-        ((12, 7, 12), "slice", 3),
-        ((10, 5, 4, 10), "C", 3),
-        ((10, 5, 4, 10), "F", 3),
-        ((9, 4, 3, 4, 9), "C", 3),
-        ((9, 4, 3, 4, 9), "F", 3),
+        ((12, 7, 12), 2, "C", 2),
+        ((12, 7, 12), 2, "F", 2),
+        ((12, 7, 12), 2, "slice", 2),
+        ((12, 7, 12), 2, "moveaxis", 2),
+        ((10, 5, 4, 10), 2, "C", 2),
+        ((10, 5, 4, 10), 2, "F", 2),
+        ((9, 4, 3, 4, 9), 2, "C", 2),
+        ((9, 4, 3, 4, 9), 2, "F", 2),
         # the widths at the outermost mode sum to 8 (C) and 6 (F): no sharing
-        ((8, 7, 6), "C", 4),
-        ((8, 7, 6), "F", 4),
-        ((3, 12, 12), "C", 4),
-        ((3, 12, 12), "F", 3),
+        ((8, 7, 6), 2, "C", 3),
+        ((8, 7, 6), 2, "F", 3),
+        ((3, 12, 12), 2, "C", 3),
+        ((3, 12, 12), 2, "F", 2),
+        # order 2: the other mode's width exceeds the outermost mode
+        ((9, 8), (2, 3), "C", 2),
+        ((9, 8), (2, 3), "F", 2),
+        # the outermost mode at full rank: the lead, then the projection
+        ((12, 7, 12), (12, 2, 2), "C", 2),
+        ((8, 7, 6), (8, 2, 2), "C", 3),
+        # every mode but the outermost at full rank: its sketch, then the
+        # projection
+        ((12, 7, 12), (2, 7, 12), "C", 2),
+        ((12, 7, 12), (12, 7, 2), "F", 2),
+        # a size-1 mode is never the one shared or fused
+        ((1, 12, 7, 12), (1, 2, 2, 2), "C", 2),
+        ((12, 7, 12, 1), (2, 2, 2, 1), "F", 2),
     ],
 )
-def test_dense_batch_reads_the_input_three_times_when_the_lead_shrinks(
-    monkeypatch, dims, layout, reads
+def test_dense_batch_reads_the_input_twice_when_the_lead_shrinks(
+    monkeypatch, dims, rank, layout, reads
 ):
-    # shared: the stacked lead, the outermost mode's own sketch and the
-    # projection; otherwise one read per sketch and the projection. A sliced
-    # view is copied once up front, and the reads are of that copy.
+    # shared: the stacked lead, then one pass for the outermost mode's sketch
+    # and the core; otherwise one read per other mode's sketch and that pass.
+    # A sliced view is copied once up front, and the reads are of that copy.
     a = tensor_in_layout(dims, layout, np.random.default_rng(0))
-    laid_out, seen, original = [], [], tucker._input
+    laid_out, read, original = [], [], tucker._input
 
     def checked(x, rank):
         out = original(x, rank)
@@ -725,17 +789,18 @@ def test_dense_batch_reads_the_input_three_times_when_the_lead_shrinks(
         return out
 
     def spy(t, mode, b):
-        if t is laid_out[0]:
-            seen.append(mode)
+        if isinstance(t, np.ndarray) and np.shares_memory(t, laid_out[0]):
+            read.append(t.size)
         return ts.mode_product(t, mode, b)
 
     monkeypatch.setattr(tucker, "_input", checked)
     # the sketch chains and the projection run in core.mode_products
     for module in (core, tucker, sketch):
         monkeypatch.setattr(module, "mode_product", spy)
-    ts.decompose(a, "tucker_svd_batch", (2,) * len(dims), seed=1)
+    rank = (rank,) * len(dims) if isinstance(rank, int) else rank
+    ts.decompose(a, "tucker_svd_batch", rank, seed=1)
     assert (laid_out[0] is a) == (layout != "slice")
-    assert len(seen) == reads
+    assert sum(read) / a.size == reads
 
 
 @pytest.mark.parametrize("alg", tucker.ALGORITHMS)
