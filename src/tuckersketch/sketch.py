@@ -42,8 +42,8 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .core import (KEY_MAX, SparseTensor, check_dims, check_mode, check_rank, check_seed,
-                   contraction_order, dims_of, memory_axes, mode_product, mode_products,
-                   mode_view, positive_int, unfold)
+                   dims_of, memory_axes, mode_product, mode_products, mode_view, positive_int,
+                   unfold)
 
 # entries per slab of the input in the fused pass of sketch_and_project (8 MiB of doubles)
 _FUSED_SLAB = 1 << 20
@@ -304,10 +304,10 @@ def sketch_and_project(a, p, plan, stream, factors):
     picks it, and ``factors`` maps at least one other mode m to its basis
     Q_m (I_m x mu_m); a mode without one is not contracted in the second
     result, which keeps I_p at mode p. The G_{p,m} are the draws of
-    :func:`sketch_mode`. Mode q, the first of
-    :func:`~tuckersketch.core.contraction_order` over the ratios
-    I_q / (L_{p,q} + mu_q), is contracted with G_{p,q} stacked on Q_q^T in
-    one product; each block then continues its own chain. ``a`` is walked in
+    :func:`sketch_mode`. Mode q, the one with the largest ratio
+    I_q / (L_{p,q} + mu_q), ties to the mode nearest p in memory, is
+    contracted with G_{p,q} stacked on Q_q^T in one product; each block then
+    continues its own chain. ``a`` is walked in
     slabs of whole indices of mode p, each a contiguous run of at most
     ``_FUSED_SLAB`` entries (one index when that is longer), so no
     intermediate grows with ``a``.
@@ -316,7 +316,8 @@ def sketch_and_project(a, p, plan, stream, factors):
     others = [m for m in range(1, len(dims) + 1) if m != p]
     ells = dict(zip(others, plan.sketch_dims[p]))
     ratios = {m: dims[m - 1] / (ells[m] + f.shape[1]) for m, f in factors.items()}
-    q = contraction_order(a, ratios)[0]
+    axes = memory_axes(a) or tuple(range(a.ndim))
+    q = min(ratios, key=lambda m: (-ratios[m], axes.index(m - 1)))
     gs = {m: gaussian_matrix(stream.fork(m), ells[m], dims[m - 1]) for m in others}
     stack = np.vstack([gs.pop(q), factors[q].T])
     qts = {m: f.T for m, f in factors.items() if m != q}

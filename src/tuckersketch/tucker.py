@@ -4,13 +4,15 @@ All algorithms return a :class:`TuckerApprox` whose core is the source tensor
 projected onto the orthonormal factor bases, so the reconstruction error obeys
 ``||a - recon||^2 = ||a||^2 - ||core||^2`` up to roundoff.
 
-All six algorithms run the one per-mode loop :func:`_tucker`, each with its
-own basis function; :func:`hooi` runs it once per sweep. Every basis returns
-``(factor, numerical rank)``: :func:`linalg.fixed_rank_basis` of a sketch
-(seq, batch), :func:`linalg.qr_basis_with_rank` of a one-matrix sketch (ran,
-kr), or :func:`_exact_basis` of an unfolding (HOSVD, hooi). A full-rank mode
-gets a ``None`` factor there, which :func:`_project` skips; only the result
-holds a fresh identity for it.
+Five algorithms run the one per-mode loop :func:`_tucker`, each with its
+own basis function; :func:`hooi` runs it once per sweep.
+:func:`tucker_svd_batch` takes every basis from sketches of the original
+tensor, and a dense one its core from the same pass as its last sketch.
+Every basis is ``(factor, numerical rank)``: :func:`linalg.fixed_rank_basis`
+of a sketch (seq, batch), :func:`linalg.qr_basis_with_rank` of a one-matrix
+sketch (ran, kr), or :func:`_exact_basis` of an unfolding (HOSVD, hooi). A
+full-rank mode has no basis, so :func:`_project` skips it; only the result,
+built by :func:`_approx`, holds a fresh identity for it.
 
 :func:`rlne` never forms the reconstruction: it streams the residual in
 slabs of about 2 MiB along the slowest axis in memory, reading the input
@@ -156,10 +158,12 @@ def rlne(a, approx):
     copy. The core is contracted with every factor but the fastest axis's
     into a C-contiguous chain, one chunk of whole slabs of the slowest axis
     at a time; each slab of the reconstruction is then one GEMM against that
-    factor. Memory is one slab and one chunk of the chain, each of at most
-    ``_SLAB`` entries when one index of the slowest axis allows it, never a
-    tensor-sized array; a :class:`SparseTensor` subtracts its nonzeros from
-    each dense slab instead of being densified. It is correct for any finite entries, the
+    factor. Modes that the contraction order puts before the slowest axis's
+    are contracted once, on the whole core. Memory is one slab and one chunk
+    of the chain, each of at most ``_SLAB`` entries when one index of the
+    slowest axis allows it, plus that once-contracted core, r_1 / I_1 of the
+    whole chain; a :class:`SparseTensor` subtracts its nonzeros from each
+    dense slab instead of being densified. It is correct for any finite entries, the
     subnormal ones included: a sum of squares outside ``core.SQUARES_RANGE``
     is redone, once, on ``a`` and the core times an exact power of two. Raises
     ``ValueError`` for a non-finite ``a``, for one that
@@ -180,9 +184,13 @@ def rlne(a, approx):
             factors, dims = [factors[m] for m in axes], t.shape
     core = np.ascontiguousarray(core)
     chain = dict(enumerate(factors[:-1], start=1))
-    # the order of mode_products over the whole chain, kept by every chunk
+    # the order of mode_products over the whole chain, kept by every chunk;
+    # the modes it puts before mode 1 are contracted once, on the whole core
     chain_order = contraction_order(core, {m: core.shape[m - 1] / q.shape[0]
                                            for m, q in chain.items()})
+    cut = chain_order.index(1) if chain else 0
+    for m in chain_order[:cut]:
+        core = mode_product(core, m, chain[m])
     q_t = factors[-1].T
     last = len(dims) - 1
     # a slab fixes the axes before k and takes `step` indices of axis k with
@@ -216,7 +224,7 @@ def rlne(a, approx):
         if i >= hi:
             lo, hi = i, min(i + span, dims[0])
             w = core
-            for m in chain_order:
+            for m in chain_order[cut:]:
                 w = mode_product(w, m, chain[m][lo:hi] if m == 1 else chain[m])
             w = np.ascontiguousarray(w)
         shape = (min(step, dims[k] - start),) + dims[k + 1 :]
@@ -263,36 +271,42 @@ def _input(a, target_rank):
     return a, rank
 
 
-def _tucker(a, target_rank, basis, order=None, sequential=True, project=_project):
+def _tucker(a, target_rank, basis, order=None, sequential=True):
     """Per-mode loop: ``basis(c, n, mu)`` gives (factor, numerical rank).
 
     ``a`` and ``target_rank`` are as :func:`_input` returns them.
     ``sequential`` shrinks the working tensor ``c`` by each factor in ``order``
     (default 1..N), so ``c`` ends as the core; otherwise ``c`` stays ``a``,
-    and the core is ``project(a, factors)`` at the end, a ``None`` factor
-    marking a mode at full rank.
+    and the core is ``a`` projected onto the factors at the end.
     """
     dims = dims_of(a)
     c = a
-    factors = [None] * len(dims)
-    warned = []
+    bases = {}
     for n in order or range(1, len(dims) + 1):
         mu = target_rank[n - 1]
         if mu == dims[n - 1]:
             continue
-        q, rank = basis(c, n, mu)
-        if rank < mu:
-            warned.append(n)
-        factors[n - 1] = q
+        bases[n] = basis(c, n, mu)
         if sequential:
-            c = mode_product(c, n, q.T)
+            c = mode_product(c, n, bases[n][0].T)
     if not sequential:
-        c = project(a, factors)
-    if c is a:
-        # every mode was full rank: the core must not alias the input
-        c = a.densify() if isinstance(a, SparseTensor) else np.array(a, order="C")
-    factors = [np.eye(d) if q is None else q for d, q in zip(dims, factors)]
-    return TuckerApprox(c, factors, rank_warnings=tuple(sorted(warned)))
+        c = _project(a, [bases[n][0] if n in bases else None for n in range(1, len(dims) + 1)])
+    return _approx(a, c, bases)
+
+
+def _approx(a, core, bases):
+    """:class:`TuckerApprox` of ``core`` and ``bases`` {mode: (factor, numerical rank)}.
+
+    A mode without a basis is at full rank and gets a fresh identity factor.
+    A core that is ``a`` itself (every mode at full rank) is copied, so it
+    does not alias the input. A basis whose numerical rank is below its
+    width is listed in ``rank_warnings``.
+    """
+    if core is a:
+        core = a.densify() if isinstance(a, SparseTensor) else np.array(a, order="C")
+    factors = [bases[n][0] if n in bases else np.eye(d) for n, d in enumerate(dims_of(a), start=1)]
+    warned = tuple(sorted(n for n, (q, rank) in bases.items() if rank < q.shape[1]))
+    return TuckerApprox(core, factors, rank_warnings=warned)
 
 
 def _exact_basis(a, n, mu):
@@ -344,22 +358,16 @@ def tucker_svd_batch(a, plan):
     """
     a, target_rank = _input(a, plan.target_rank)
     sketches, p = batch_sketches(a, plan)
-    factors, partial = {}, None
-
-    def basis(c, n, mu):
-        nonlocal partial
-        if n == p:
-            sketch, partial = sketch_and_project(a, p, plan, GaussianStream(plan.seed, p), factors)
-        else:
-            sketch = sketches.pop(n)
-        factors[n], rank = linalg.fixed_rank_basis(sketch, mu)
-        return factors[n], rank
-
-    def project(a, qs):
-        return _project(a, qs) if partial is None else mode_product(partial, p, qs[p - 1].T)
-
-    order = sorted(range(1, len(target_rank) + 1), key=lambda n: n == p)
-    return _tucker(a, target_rank, basis, order, sequential=False, project=project)
+    bases = {n: linalg.fixed_rank_basis(s, target_rank[n - 1]) for n, s in sketches.items()}
+    if p is None:
+        core = _project(a, [bases[n][0] if n in bases else None
+                            for n in range(1, len(target_rank) + 1)])
+    else:
+        others = {n: q for n, (q, _) in bases.items()}
+        sketch, partial = sketch_and_project(a, p, plan, GaussianStream(plan.seed, p), others)
+        bases[p] = linalg.fixed_rank_basis(sketch, target_rank[p - 1])
+        core = mode_product(partial, p, bases[p][0].T)
+    return _approx(a, core, bases)
 
 
 def tucker_svd_seq(a, plan):

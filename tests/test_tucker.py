@@ -512,6 +512,25 @@ def test_rlne_builds_the_core_chain_in_chunks(order):
     assert peak_bytes_of_rlne(a, apx) < 0.9 * a.nbytes
 
 
+def test_rlne_contracts_the_modes_before_the_chunked_one_once(monkeypatch):
+    # mode 2 grows the chain by less than mode 1 (10/20 against 2/30), so it
+    # comes first, on the whole core; one chain chunk per index of axis 0
+    # must not redo it
+    a = ts.gen_reciprocal_sum((30, 20, 10))
+    apx = ts.decompose(a, "tucker_svd_seq", (2, 10, 10), seed=0)
+    ref = ts.rlne(a, apx)
+    modes, original = [], tucker.mode_product
+
+    def spy(t, mode, b):
+        modes.append(mode)
+        return original(t, mode, b)
+
+    monkeypatch.setattr(tucker, "mode_product", spy)
+    monkeypatch.setattr(tucker, "_SLAB", 64)
+    assert ts.rlne(a, apx) == pytest.approx(ref, rel=1e-12)
+    assert modes.count(2) == 1 and modes.count(1) == 30
+
+
 def test_sparse_rlne_never_densifies():
     # one slab of 6 x 200 x 200 (0.03 of the dense size) plus the core
     # chain 200 x 200 x 3 (0.015)
@@ -741,6 +760,28 @@ def test_fused_pass_is_the_same_in_slabs_of_any_size(monkeypatch, slab, layout):
     np.testing.assert_allclose(apx.core, ref.core, rtol=0, atol=1e-12 * np.linalg.norm(a))
     for q, q_ref in zip(apx.factors, ref.factors):
         np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("layout, q", [("C", 2), ("F", 3)])
+def test_fused_pass_breaks_ties_to_the_mode_next_to_the_fused_one(monkeypatch, layout, q):
+    # every ratio I_m / (L_{p,m} + mu_m) ties, as at 60^4 rank 8, where the
+    # stacked product was faster at the mode next to p in memory than at
+    # the innermost one
+    dims, rng = (12, 12, 12, 12), np.random.default_rng(2)
+    a = tensor_in_layout(dims, layout, rng)
+    plan = default_plan(dims, (2, 2, 2, 2), oversampling=3, seed=1)
+    p = 1 if layout == "C" else 4
+    factors = {m: np.linalg.qr(rng.standard_normal((12, 2)))[0] for m in range(1, 5) if m != p}
+    modes = []
+
+    def spy(t, mode, b):
+        if np.shares_memory(t, a):
+            modes.append(mode)
+        return ts.mode_product(t, mode, b)
+
+    monkeypatch.setattr(sketch, "mode_product", spy)
+    sketch.sketch_and_project(a, p, plan, ts.GaussianStream(1, p), factors)
+    assert set(modes) == {q}
 
 
 @pytest.mark.parametrize(
