@@ -1,7 +1,8 @@
 """Command line front end: gen | decompose | bench | probe.
 
 Exit codes: 0 on success, 2 for bad input (unparsable files, unknown names,
-malformed flags), 3 when a requested rank exceeds a tensor dimension.
+malformed flags, sizes or counts too large for memory), 3 when a requested
+rank exceeds a tensor dimension.
 """
 
 import argparse
@@ -169,6 +170,9 @@ def main(argv=None):
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: a size or count is too large for memory: {exc}", file=sys.stderr)
         return 2
 
 

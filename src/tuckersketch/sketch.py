@@ -21,15 +21,13 @@ Contraction order
 :func:`sketch_mode` contracts the other modes with
 :func:`tuckersketch.core.mode_products`, in the package's one contraction
 order: decreasing shrink ratio, ties to the two ends of memory first.
-:func:`batch_sketches` takes every mode's sketch of one tensor. For a dense
-tensor whose outermost mode in memory, p, is longer than the sum of the
-other modes' widths L_{n,p}, it contracts mode p once for all of them (their
-G_{n,p} stacked into one GEMM) and finishes each chain with
-:func:`sketch_mode` from that mode's block. Mode p's own sketch waits for
-the other modes' bases Q_m: :func:`sketch_and_project` then reads the tensor
-once more, in slabs along p, for both that sketch and the tensor projected
-onto the Q_m, so a dense batch run reads its input twice. The draws are the
-same, so the sketches agree up to roundoff.
+:func:`stacked_products` runs several such chains on one tensor that all
+contract one mode m: their mode-m matrices are stacked into one GEMM, and
+each chain goes on from its row block of the product in its own order.
+:func:`~tuckersketch.tucker.tucker_svd_batch` runs its shared lead and its
+fused pass (mode p's sketch with the core) that way, from the
+:func:`sketch_matrices` that :func:`sketch_mode` draws, so its sketches
+agree with the per-mode ones up to roundoff.
 """
 
 import math
@@ -42,11 +40,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .core import (KEY_MAX, SparseTensor, check_dims, check_mode, check_rank, check_seed,
-                   dims_of, memory_axes, mode_product, mode_products, mode_view, positive_int,
-                   unfold)
-
-# entries per slab of the input in the fused pass of sketch_and_project (8 MiB of doubles)
-_FUSED_SLAB = 1 << 20
+                   dims_of, mode_product, mode_products, mode_view, positive_int, unfold)
 
 
 def philox_rng(seed, stream_id):
@@ -233,104 +227,45 @@ def guarantee_gaps(plan, dims):
     return gaps
 
 
-def sketch_mode(c, n, plan, stream, done=None):
+def sketch_matrices(plan, n, dims, stream):
+    """{m: G_{n,m}} for every mode m != n of a tensor of shape ``dims``.
+
+    G_{n,m} is L_{n,m} x I_m (``plan.sketch_dims[n]`` in ascending m), drawn
+    i.i.d. standard normal from ``stream.fork(m)``.
+    """
+    others = [m for m in range(1, len(dims) + 1) if m != n]
+    return {m: gaussian_matrix(stream.fork(m), ell, dims[m - 1])
+            for m, ell in zip(others, plan.sketch_dims[n])}
+
+
+def sketch_mode(c, n, plan, stream):
     """Structured sketch of ``c`` for mode ``n``: unfold(c x_m G_{n,m}, n).
 
-    Each G_{n,m} is L_{n,m} x (current size of mode m), drawn i.i.d. standard
-    normal from ``stream.fork(m)``, and the chain runs in
-    :func:`~tuckersketch.core.mode_products`.
+    The G_{n,m} are :func:`sketch_matrices` for the current sizes of ``c``,
+    and the chain runs in :func:`~tuckersketch.core.mode_products`.
     The result equals unfold(c, n) times the transposed Kronecker chain of the
     G matrices (descending m). Sparse inputs are contracted without
-    densifying; only the (small) sketched tensor is dense. ``done`` names a
-    mode of ``c`` already contracted with its G_{n,done}, as in the shared
-    pass of :func:`batch_sketches`; the other modes follow the same order.
+    densifying; only the (small) sketched tensor is dense.
     """
     dims = dims_of(c)
     n = check_mode(n, len(dims))
-    others = [m for m in range(1, len(dims) + 1) if m != n]
-    ells = dict(zip(others, plan.sketch_dims[n]))
-    rest = [m for m in others if m != done]
-    mats = {m: gaussian_matrix(stream.fork(m), ells[m], dims[m - 1]) for m in rest}
-    return unfold(mode_products(c, mats), n)
+    return unfold(mode_products(c, sketch_matrices(plan, n, dims, stream)), n)
 
 
-def batch_sketches(a, plan):
-    """``(sketches, p)``: {n: :func:`sketch_mode` of ``a`` for mode n} and the fused mode.
+def stacked_products(t, m, chains):
+    """``[mode_products(t, c) for c in chains]``, with mode m contracted once for all.
 
-    The dict covers the modes with mu_n < I_n. A dense ``a`` has an
-    outermost mode in memory p, its slowest axis longer than 1
-    (:func:`~tuckersketch.core.memory_axes`; C order for a layout that
-    :func:`mode_product` copies). If the widths L_{n,p} of the other modes
-    sum to less than I_p, their G_{n,p} are stacked row-wise, mode p is
-    contracted once with the stack, and each chain continues from its row
-    block, a contiguous slab; otherwise the stacked product would be larger
-    than ``a``, and each of them is sketched on its own. When p and some
-    other mode need a basis, p's sketch is left out of the dict and p is
-    returned: :func:`sketch_and_project` takes it, once the other bases are
-    known, in the same pass over ``a`` as the core. Otherwise p is ``None``,
-    as for a sparse ``a``, every mode of which is sketched on its own: its
-    first product is dense and the largest array of the run.
+    Every chain (a dict mode -> matrix, as :func:`~tuckersketch.core.mode_products`
+    takes) holds a matrix for mode m. Those matrices are stacked row-wise,
+    mode m of ``t`` is contracted with the stack in one GEMM, and each chain
+    continues on its row block of the product with its other matrices, in
+    their own contraction order.
     """
-    dims = dims_of(a)
-    modes = [n for n, (mu, d) in enumerate(zip(plan.target_rank, dims), start=1) if mu < d]
-    streams = {n: GaussianStream(plan.seed, n) for n in modes}
-    fused, shared, ells = None, [], []
-    if not isinstance(a, SparseTensor):
-        a = np.asarray(a)
-        axes = memory_axes(a) or tuple(range(a.ndim))
-        p = next((m for m in axes if dims[m] > 1), axes[0]) + 1
-        if p in modes and len(modes) > 1:
-            fused = p
-        shared = [n for n in modes if n != p]
-        # sketch_dims[n] lists L_{n,m} over m != n, so mode p sits at p - 1 or p - 2
-        ells = [plan.sketch_dims[n][p - 1 if p < n else p - 2] for n in shared]
-        if sum(ells) >= dims[p - 1]:
-            shared = []
-    out = {n: sketch_mode(a, n, plan, streams[n]) for n in modes if n not in shared + [fused]}
-    if shared:
-        gs = [
-            gaussian_matrix(streams[n].fork(p), ell, dims[p - 1]) for n, ell in zip(shared, ells)
-        ]
-        lead = mode_product(a, p, np.vstack(gs))
-        for n, block in zip(shared, np.split(lead, np.cumsum(ells)[:-1], axis=p - 1)):
-            out[n] = sketch_mode(block, n, plan, streams[n], done=p)
-    return out, fused
-
-
-def sketch_and_project(a, p, plan, stream, factors):
-    """``(unfold(a x_m G_{p,m}, p), a x_m Q_m^T)`` over the modes m != p, in one pass.
-
-    ``a`` is dense with mode p outermost in memory, as :func:`batch_sketches`
-    picks it, and ``factors`` maps at least one other mode m to its basis
-    Q_m (I_m x mu_m); a mode without one is not contracted in the second
-    result, which keeps I_p at mode p. The G_{p,m} are the draws of
-    :func:`sketch_mode`. Mode q, the one with the largest ratio
-    I_q / (L_{p,q} + mu_q), ties to the mode nearest p in memory, is
-    contracted with G_{p,q} stacked on Q_q^T in one product; each block then
-    continues its own chain. ``a`` is walked in
-    slabs of whole indices of mode p, each a contiguous run of at most
-    ``_FUSED_SLAB`` entries (one index when that is longer), so no
-    intermediate grows with ``a``.
-    """
-    dims = dims_of(a)
-    others = [m for m in range(1, len(dims) + 1) if m != p]
-    ells = dict(zip(others, plan.sketch_dims[p]))
-    ratios = {m: dims[m - 1] / (ells[m] + f.shape[1]) for m, f in factors.items()}
-    axes = memory_axes(a) or tuple(range(a.ndim))
-    q = min(ratios, key=lambda m: (-ratios[m], axes.index(m - 1)))
-    gs = {m: gaussian_matrix(stream.fork(m), ells[m], dims[m - 1]) for m in others}
-    stack = np.vstack([gs.pop(q), factors[q].T])
-    qts = {m: f.T for m, f in factors.items() if m != q}
-    sketch = np.empty([dims[m - 1] if m == p else ells[m] for m in range(1, len(dims) + 1)])
-    partial = np.empty([factors[m].shape[1] if m in factors else d
-                        for m, d in enumerate(dims, start=1)])
-    step = max(1, _FUSED_SLAB // (a.size // dims[p - 1]))
-    for lo in range(0, dims[p - 1], step):
-        ix = (slice(None),) * (p - 1) + (slice(lo, lo + step),)
-        g, qb = np.split(mode_product(a[ix], q, stack), [ells[q]], axis=q - 1)
-        sketch[ix] = mode_products(g, gs)
-        partial[ix] = mode_products(qb, qts)
-    return unfold(sketch, p), partial
+    mats = [c[m] for c in chains]
+    lead = mode_product(t, m, np.vstack(mats))
+    blocks = np.split(lead, np.cumsum([b.shape[0] for b in mats])[:-1], axis=m - 1)
+    return [mode_products(block, {k: b for k, b in c.items() if k != m})
+            for block, c in zip(blocks, chains)]
 
 
 def sketch_full_gaussian(c, n, lprime, stream):

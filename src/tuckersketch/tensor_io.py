@@ -75,7 +75,7 @@ def read_tensor(path):
             order = _int_field(header[1], "order", path)
             dims = _read_dims(fh, order, path)
             count = int(np.prod(dims, dtype=np.int64))
-            return _read_values(fh, count, path).reshape(dims, order="F")
+            return _read_values(fh, count, path, 3).reshape(dims, order="F")
         if len(header) != 3:
             raise ValueError(f"{path}: sparse header needs order and nnz fields")
         order = _int_field(header[1], "order", path)
@@ -84,13 +84,18 @@ def read_tensor(path):
         coords = np.empty((nnz, order), dtype=np.int64)
         values = np.empty(nnz)
         for i in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != order + 1:
+            line = fh.readline()
+            parts = line.split()
+            try:
+                if len(parts) != order + 1:
+                    raise ValueError
+                coords[i] = [int(p) - 1 for p in parts[:order]]
+                values[i] = float(parts[order])
+            except ValueError:
                 raise ValueError(
-                    f"{path}: entry {i + 1} needs {order} indices and a value"
-                )
-            coords[i] = [int(p) - 1 for p in parts[:order]]
-            values[i] = float(parts[order])
+                    f"{path}:{i + 3}: entry {i + 1} needs {order} integer indices and a "
+                    f"number, got {line.strip()!r}"
+                ) from None
         _expect_eof(fh, path)
         return SparseTensor(dims, coords, values)
 
@@ -115,14 +120,22 @@ def _read_dims(fh, order, path):
     return dims
 
 
-def _read_values(fh, count, path):
-    """The next ``count`` lines of ``fh``, one float each, and then the end."""
+def _read_values(fh, count, path, first):
+    """The next ``count`` lines of ``fh``, one float each, and then the end.
+
+    ``first`` is the 1-based number of the first of those lines in the file.
+    """
     values = np.empty(count)
     for i in range(count):
         line = fh.readline()
         if not line:
             raise ValueError(f"{path}: expected {count} values, found {i}")
-        values[i] = float(line)
+        try:
+            values[i] = float(line)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{first + i}: expected a number, got {line.strip()!r}"
+            ) from None
     _expect_eof(fh, path)
     return values
 
@@ -147,7 +160,7 @@ def read_matrix(path):
             raise ValueError(f"{path}: matrix header must be 'rows cols'")
         rows = _int_field(parts[0], "rows", path)
         cols = _int_field(parts[1], "cols", path)
-        return _read_values(fh, rows * cols, path).reshape(rows, cols, order="C")
+        return _read_values(fh, rows * cols, path, 2).reshape(rows, cols, order="C")
 
 
 def save_approx(approx, out_dir, metrics=None):

@@ -7,7 +7,9 @@ projected onto the orthonormal factor bases, so the reconstruction error obeys
 Five algorithms run the one per-mode loop :func:`_tucker`, each with its
 own basis function; :func:`hooi` runs it once per sweep.
 :func:`tucker_svd_batch` takes every basis from sketches of the original
-tensor, and a dense one its core from the same pass as its last sketch.
+tensor: a sparse one in that loop, a dense one in its own steps, which
+share the outermost mode's product among the sketches and take the core
+in the same pass as the last sketch.
 Every basis is ``(factor, numerical rank)``: :func:`linalg.fixed_rank_basis`
 of a sketch (seq, batch), :func:`linalg.qr_basis_with_rank` of a one-matrix
 sketch (ran, kr), or :func:`_exact_basis` of an unfolding (HOSVD, hooi). A
@@ -46,21 +48,24 @@ from .core import (
     positive_int,
     pow2_scale,
     real_number,
+    unfold,
 )
 from .sketch import (
     GaussianStream,
-    batch_sketches,
     default_plan,
     gaussian_matrix,
-    sketch_and_project,
     sketch_full_gaussian,
     sketch_khatri_rao,
+    sketch_matrices,
     sketch_mode,
+    stacked_products,
 )
 
 ORTHO_TOL = 1e-10
 # entries per slab of the residual that rlne streams (2 MiB of doubles)
 _SLAB = 1 << 18
+# entries per slab of the input in tucker_svd_batch's fused pass (8 MiB of doubles)
+_FUSED_SLAB = 1 << 20
 
 
 @dataclass
@@ -70,7 +75,8 @@ class TuckerApprox:
     ``factors[n-1]`` has shape (I_n, mu_n); orthonormality is checked at
     construction, and the core is stored C-contiguous. ``rank_warnings``
     lists modes whose requested width exceeded the numerical rank of the
-    sketched/unfolded data (those trailing basis columns are arbitrary). ``fit_history`` is populated by :func:`hooi`.
+    sketched/unfolded data (those trailing basis columns are arbitrary).
+    ``fit_history`` is populated by :func:`hooi`.
     """
 
     core: np.ndarray
@@ -334,40 +340,75 @@ def _exact_basis(a, n, mu):
     return u, linalg.numerical_rank(sig)
 
 
+def _sketch_basis(plan):
+    """``basis(c, n, mu)`` for :func:`_tucker`: the SVD basis of ``c``'s :func:`sketch_mode`."""
+
+    def basis(c, n, mu):
+        return linalg.fixed_rank_basis(sketch_mode(c, n, plan, GaussianStream(plan.seed, n)), mu)
+
+    return basis
+
+
 def tucker_svd_batch(a, plan):
     """Batch sketched decomposition: every mode sketches the original tensor.
 
     For each mode independently, compress all other modes of ``a`` with
     Gaussian matrices, take the rank-mu_n SVD basis of the mode-n unfolding of
-    the sketch, then project ``a`` onto all the bases for the core.
+    the sketch, then project ``a`` onto all the bases for the core. A sparse
+    ``a`` runs just that. A dense one is read along its outermost mode in
+    memory p, its slowest axis longer than 1
+    (:func:`~tuckersketch.core.memory_axes`):
 
-    The sketches come from :func:`~tuckersketch.sketch.batch_sketches`. A
-    dense ``a`` is read twice when its outermost mode in memory p
-    (:func:`~tuckersketch.core.memory_axes`) is longer than the sum of the
-    other modes' widths L_{n,p}: mode p is contracted once for every other
-    mode that needs a basis, with their G_{n,p} stacked into one GEMM, and
-    each of those sketches continues from its row block of the product. The
-    second read, :func:`~tuckersketch.sketch.sketch_and_project`, gives mode
-    p's sketch and ``a`` projected onto those bases, which mode p's basis,
-    taken last, shrinks to the core. With a shorter p, each other mode is
-    sketched on its own, and ``a`` is read N times, not N + 1. The draws are
-    those of :func:`sketch_mode`; only the contraction order differs, so the
-    sketches and the core agree with the per-mode ones up to roundoff. When
-    mode p, or every other mode, is at full rank, the core is one projection
-    at the end, and a sparse ``a`` sketches each mode separately.
+    1. The other modes that need a basis are sketched. When their widths
+       L_{n,p} sum to less than I_p, one read contracts mode p for all of
+       them (:func:`~tuckersketch.sketch.stacked_products`); otherwise that
+       product would be larger than ``a``, and each is sketched on its own.
+    2. Their bases Q_m are taken.
+    3. If p needs a basis too, one more read, in slabs of whole indices of
+       p of at most ``_FUSED_SLAB`` entries, gives p's sketch and ``a``
+       projected onto the Q_m: mode q, the one with the largest ratio
+       I_q / (L_{p,q} + mu_q), ties to the mode nearest p in memory, is
+       contracted with G_{p,q} stacked on Q_q^T. p's basis, taken last,
+       shrinks that partial core to the core. Otherwise the core is one
+       projection of ``a`` at the end.
+
+    So a dense ``a`` is read twice when the lead shrinks. The draws are
+    those of :func:`~tuckersketch.sketch.sketch_mode`; only the contraction
+    order differs, so the sketches and the core agree with the per-mode
+    ones up to roundoff.
     """
     a, target_rank = _input(a, plan.target_rank)
-    sketches, p = batch_sketches(a, plan)
-    bases = {n: linalg.fixed_rank_basis(s, target_rank[n - 1]) for n, s in sketches.items()}
-    if p is None:
-        core = _project(a, [bases[n][0] if n in bases else None
-                            for n in range(1, len(target_rank) + 1)])
+    if isinstance(a, SparseTensor):
+        return _tucker(a, target_rank, _sketch_basis(plan), sequential=False)
+    dims = a.shape
+    modes = [n for n, (mu, d) in enumerate(zip(target_rank, dims), start=1) if mu < d]
+    chains = {n: sketch_matrices(plan, n, dims, GaussianStream(plan.seed, n)) for n in modes}
+    # _input leaves a layout that memory_axes describes
+    axes = memory_axes(a)
+    p = next((m for m in axes if dims[m] > 1), axes[0]) + 1
+    lead = [n for n in modes if n != p]
+    # p's sketch waits for the other bases, to share the core's read of a
+    fused = p in modes and bool(lead)
+    if lead and sum(chains[n][p].shape[0] for n in lead) < dims[p - 1]:
+        sketches = dict(zip(lead, stacked_products(a, p, [chains[n] for n in lead])))
     else:
-        others = {n: q for n, (q, _) in bases.items()}
-        sketch, partial = sketch_and_project(a, p, plan, GaussianStream(plan.seed, p), others)
-        bases[p] = linalg.fixed_rank_basis(sketch, target_rank[p - 1])
-        core = mode_product(partial, p, bases[p][0].T)
-    return _approx(a, core, bases)
+        sketches = {n: mode_products(a, chains[n]) for n in modes if not (fused and n == p)}
+    bases = {n: linalg.fixed_rank_basis(unfold(s, n), target_rank[n - 1])
+             for n, s in sketches.items()}
+    if not fused:
+        return _approx(a, _project(a, [bases[n][0] if n in bases else None
+                                       for n in range(1, len(dims) + 1)]), bases)
+    g, qts = chains[p], {m: q.T for m, (q, _) in bases.items()}
+    ratios = {m: dims[m - 1] / (g[m].shape[0] + qt.shape[0]) for m, qt in qts.items()}
+    q = min(ratios, key=lambda m: (-ratios[m], axes.index(m - 1)))
+    sketch = np.empty([dims[m - 1] if m == p else g[m].shape[0] for m in range(1, len(dims) + 1)])
+    partial = np.empty([qts[m].shape[0] if m in qts else d for m, d in enumerate(dims, start=1)])
+    step = max(1, _FUSED_SLAB // (a.size // dims[p - 1]))
+    for lo in range(0, dims[p - 1], step):
+        ix = (slice(None),) * (p - 1) + (slice(lo, lo + step),)
+        sketch[ix], partial[ix] = stacked_products(a[ix], q, [g, qts])
+    bases[p] = linalg.fixed_rank_basis(unfold(sketch, p), target_rank[p - 1])
+    return _approx(a, mode_product(partial, p, bases[p][0].T), bases)
 
 
 def tucker_svd_seq(a, plan):
@@ -377,11 +418,7 @@ def tucker_svd_seq(a, plan):
     shrinks the working tensor, so later sketches act on smaller data. The
     final working tensor is the core.
     """
-
-    def basis(c, n, mu):
-        return linalg.fixed_rank_basis(sketch_mode(c, n, plan, GaussianStream(plan.seed, n)), mu)
-
-    return _tucker(*_input(a, plan.target_rank), basis, plan.order)
+    return _tucker(*_input(a, plan.target_rank), _sketch_basis(plan), plan.order)
 
 
 def _qr_tucker(sketcher, a, target_rank, lprime, oversampling, seed):

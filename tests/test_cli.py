@@ -1,6 +1,11 @@
 """Command line contract tests: exit codes, printed lines, determinism."""
 
+import os
+import pathlib
 import re
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -239,8 +244,10 @@ def _flag_table(tmp_path):
     }
 
 
-# 2**64 sizes an array wherever it is not a key or a dim: numpy's
-# MemoryError, not pinned here; 7000 trials cost seconds
+# 2**64 sizes an array wherever it is not a key or a dim, and numpy's
+# MemoryError does not name the flag: those run under a memory cap in
+# test_sizes_too_large_for_memory_exit_2_without_a_traceback. 7000 trials
+# cost seconds
 LEFT_OUT = {
     "decompose --oversampling": (str(2**64),),
     "decompose --lprime": (str(2**64),),
@@ -270,6 +277,38 @@ def test_every_numeric_flag_runs_or_exits_2_naming_it(tmp_path, capsys, flag, va
     assert code in (0, 2, 3), err
     if code:
         assert re.search(names, err), err
+
+
+def _cap_address_space():
+    # 3 GiB: an allocation sized by 2**64 fails at once instead of paging
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--algorithm", "tucker_svd_seq", "--oversampling", str(2**64)],
+        ["probe", "--trials", "2", "--oversampling", str(2**64)],
+        ["decompose", "--algorithm", "ran_tucker", "--lprime", str(2**64)],
+    ],
+    ids=["decompose-oversampling", "probe-oversampling", "decompose-lprime"],
+)
+def test_sizes_too_large_for_memory_exit_2_without_a_traceback(tmp_path, argv):
+    # never run uncapped: without the limit the allocation may succeed lazily
+    t = tmp_path / "t.txt"
+    ts.write_tensor(ts.gen_reciprocal_sum((5, 6, 7)), t)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tuckersketch", argv[0], str(t), "--rank", "2", *argv[1:]],
+        env=env, capture_output=True, text=True, preexec_fn=_cap_address_space, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    if "--oversampling" in argv:
+        assert "too large for memory" in proc.stderr
 
 
 def test_tol_minus_inf_runs_every_sweep(tmp_path, capsys):

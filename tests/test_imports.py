@@ -1,9 +1,11 @@
-"""A dense run never imports scipy.sparse; the first sparse call does.
+"""Imports: a dense run never imports scipy.sparse, and no import is dead.
 
 Which modules are loaded depends on everything imported before, so each
-check runs in a fresh interpreter, as in ``test_determinism.py``.
+check runs in a fresh interpreter, as in ``test_determinism.py``. The repo
+has no linter, so the unused-import rule (pyflakes' F401) is an AST check.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -60,3 +62,58 @@ def test_dense_runs_never_import_scipy_sparse():
     apx = ts.decompose(s, "tucker_svd_batch", (3, 3, 3), seed=1)
     here = apx.core.tobytes() + b"".join(q.tobytes() for q in apx.factors)
     assert out["fingerprint"] == hashlib.sha256(here).hexdigest()
+
+
+def _unused_imports(path):
+    """``(line, name)`` of each name imported into ``path`` that it never uses.
+
+    A name counts as used when the module reads it, lists it in ``__all__``,
+    or imports it on a line marked ``# noqa: F401`` with a reason, after the
+    marker or in a comment line just above the import.
+    """
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            line = lines[alias.lineno - 1]
+            marked, _, reason = line.partition("# noqa: F401")
+            justified = marked != line and (
+                reason.strip() or lines[node.lineno - 2].lstrip().startswith("#")
+            )
+            if name not in read and name not in exported and not justified:
+                unused.append((alias.lineno, name))
+    return unused
+
+
+def test_every_imported_name_is_used():
+    modules = sorted((ROOT / "src" / "tuckersketch").glob("*.py"))
+    assert len(modules) > 5
+    unused = {m.name: _unused_imports(m) for m in modules}
+    assert {m: u for m, u in unused.items() if u} == {}
+
+
+def test_the_unused_import_check_sees_a_dead_name(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text(
+        "import os\n"
+        "import numpy.random  # noqa: F401\n"
+        "from math import (\n    pi,\n    tau,  # noqa: F401  (kept as m.tau)\n    e,\n)\n"
+        "# loads the submodule up front\n"
+        "import numpy.linalg  # noqa: F401\n"
+        "from json import dumps\n"
+        "__all__ = ['dumps']\n"
+        "print(os.sep, e)\n"
+    )
+    assert _unused_imports(p) == [(2, "numpy"), (4, "pi")]

@@ -1,6 +1,7 @@
 """Serialization tests: exact round-trips and format validation."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,25 @@ def test_read_tensor_rejects_malformed_sparse_entry(tmp_path):
     p.write_text("sparse 3 1\n3 3 3\n1 2 0.5\n")
     with pytest.raises(ValueError, match="entry 1"):
         ts.read_tensor(p)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("dense 2\n2 2\n1.0\nabc\n3.0\n4.0\n", ":4: expected a number, got 'abc'"),
+        ("sparse 3 2\n3 3 3\n1 1 1 2.0\n1 x 1 1.0\n", ":4: entry 2 .* got '1 x 1 1.0'"),
+        ("dense 2\n2 2\n1.0\n\n3.0\n4.0\n", ":4: expected a number, got ''"),
+        ("sparse 3 1\n3 3 3\n1 1 1 x\n", ":3: entry 1 "),
+        ("2 2\n1.0\n2.0\n3.0\nfour\n", ":5: expected a number, got 'four'"),
+    ],
+    ids=["dense", "sparse-index", "blank", "sparse-value", "matrix"],
+)
+def test_parse_errors_name_the_file_and_the_line(tmp_path, text, where):
+    p = tmp_path / "t.txt"
+    p.write_text(text)
+    reader = ts.read_matrix if text[0].isdigit() else ts.read_tensor
+    with pytest.raises(ValueError, match="^" + re.escape(str(p)) + where):
+        reader(p)
 
 
 def test_matrix_roundtrip(tmp_path):

@@ -262,6 +262,50 @@ def test_sketch_mode_sparse_matches_dense():
         np.testing.assert_allclose(sparse_b, dense_b, atol=1e-10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), min_size=2, max_size=5),
+    st.data(),
+    st.sampled_from(["C", "F", "moveaxis"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_products_equal_each_chain_and_read_the_input_once(dims, data, layout, seed):
+    dims = tuple(dims)
+    rng = np.random.default_rng(seed)
+    t = tensor_in_layout(dims, layout, rng)
+    before, strides = np.array(t), t.strides
+    m = data.draw(st.integers(1, len(dims)))
+    modes = range(1, len(dims) + 1)
+    chains = []
+    # up to I_m + 2 rows per chain, so the stack is at times as tall as I_m or taller
+    for _ in range(data.draw(st.integers(1, 3))):
+        rest = data.draw(st.lists(st.sampled_from([k for k in modes if k != m]), unique=True))
+        chains.append({k: rng.standard_normal((data.draw(st.integers(1, dims[k - 1] + 2)),
+                                               dims[k - 1]))
+                       for k in [m, *rest]})
+    reads, mode_product = [], core.mode_product
+
+    def spy(x, mode, b):
+        if np.shares_memory(x, t):
+            reads.append(mode)
+        return mode_product(x, mode, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (core, sketch):
+            mp.setattr(module, "mode_product", spy)
+        got = sketch.stacked_products(t, m, chains)
+    assert reads == [m]
+    assert len(got) == len(chains)
+    for out, chain in zip(got, chains):
+        ref = core.mode_products(t, chain)
+        # every entry is a sum of products: bound its roundoff by their magnitudes
+        scale = core.mode_products(np.abs(t), {k: np.abs(b) for k, b in chain.items()})
+        assert out.shape == ref.shape
+        assert np.all(np.abs(out - ref) <= 1e-12 * scale)
+    np.testing.assert_array_equal(t, before)
+    assert t.strides == strides
+
+
 def test_sketch_captures_exact_rank_range():
     # rank-3 tensor: the sketch of each unfolding keeps rank 3 exactly, over
     # many seeds (range capture is what the decomposition relies on)
