@@ -40,7 +40,7 @@ print("   guarantee matters more than the constant factor)")
 rng = np.random.default_rng(0)
 small = rng.standard_normal((8, 9, 7))
 plan_s = ts.default_plan(small.shape, (2, 2, 2), oversampling=2, seed=1)
-sk = ts.sketch_mode(small, 1, plan_s, ts.GaussianStream(plan_s.seed, 1))
+sk = ts.sketch_mode(small, 1, plan_s)
 
 stream = ts.GaussianStream(plan_s.seed, 1)
 l12, l13 = plan_s.sketch_dims[1]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import generators
-from .core import (SparseTensor, dims_of, frob_norm, mode_product, mode_view, positive_int,
-                   real_number)
+from .core import (SparseTensor, check_per_mode, dims_of, frob_norm, mode_product, mode_view,
+                   positive_int, real_number)
 from .generators import FAMILIES
 from .linalg import delta_tail
 from .tucker import ALGORITHMS, decompose, rlne, tucker_svd_seq
@@ -164,7 +164,7 @@ def mode_singular_values(a):
 def oracle_floor(svals, target_rank):
     """max_n Delta_{mu_n + 1}: no rank-(mu) approximation can beat this."""
     return max(delta_tail(s, positive_int(mu, "target rank") + 1)
-               for s, mu in zip(svals, target_rank))
+               for s, mu in zip(svals, check_per_mode(target_rank, "target rank")))
 
 
 def check_inequality13(a, approx):

@@ -29,11 +29,10 @@ def _ints(text, flag):
     return _numbers(int, text, flag)
 
 
-def _rank_for(a, text):
-    rank = _ints(text, "--rank")
-    if len(rank) == 1:
-        rank = rank * len(dims_of(a))
-    return rank
+def _per_mode(a, text, flag):
+    """The ints that ``flag`` lists, one per mode of ``a``; one int is given to every mode."""
+    values = _ints(text, flag)
+    return values * len(dims_of(a)) if len(values) == 1 else values
 
 
 def cmd_gen(args):
@@ -55,8 +54,8 @@ def cmd_gen(args):
 
 def cmd_decompose(args):
     a = tensor_io.read_tensor(args.tensor)
-    rank = _rank_for(a, args.rank)
-    lprime = _ints(args.lprime, "--lprime") if args.lprime else None
+    rank = _per_mode(a, args.rank, "--rank")
+    lprime = _per_mode(a, args.lprime, "--lprime") if args.lprime else None
     t0 = time.perf_counter()
     approx = decompose(
         a,
@@ -94,7 +93,7 @@ def cmd_bench(args):
 
 def cmd_probe(args):
     a = tensor_io.read_tensor(args.tensor)
-    rank = _rank_for(a, args.rank)
+    rank = _per_mode(a, args.rank, "--rank")
     plan = default_plan(dims_of(a), rank, args.oversampling, args.seed)
     probe = bench_mod.probe_bound(a, plan, args.trials, cap=args.cap)
     if probe.degenerate:
@@ -135,7 +134,8 @@ def _build_parser():
     dec.add_argument("--algorithm", choices=ALGORITHMS, required=True)
     dec.add_argument("--rank", required=True, help="single value or one per mode")
     dec.add_argument("--oversampling", type=int, default=10)
-    dec.add_argument("--lprime", default=None, help="sketch widths for ran/kr variants")
+    dec.add_argument("--lprime", default=None,
+                     help="sketch widths for ran/kr variants, single value or one per mode")
     dec.add_argument("--seed", type=int, default=0)
     dec.add_argument("--max-iters", type=int, default=50)
     dec.add_argument("--tol", type=float, default=1e-4,

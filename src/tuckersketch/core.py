@@ -30,7 +30,9 @@ contractions need scipy: :meth:`SparseTensor.unfold_csr` imports
 
 Every decomposition and ``rlne`` check their input here and nowhere else:
 :func:`check_tensor` and :func:`check_rank` raise ``ValueError`` naming a
-complex or 0-d tensor, or a rank such as 2.7, ``True`` or ``'2'``.
+complex or 0-d tensor, or a rank such as 2.7, ``True`` or ``'2'``. Every
+per-mode argument (dims, ranks, densities) passes :func:`check_per_mode`,
+so a scalar rank is refused, not broadcast.
 Finiteness is checked where it is free: on what ``linalg`` factors. Every
 other count (dims, seeds, oversampling, ``nnz``, iterations, modes) passes the
 same rule, :func:`positive_int` with a lower bound of 0 or 1 and, for a
@@ -85,14 +87,27 @@ def real_number(x, what):
     raise ValueError(f"{what} must be a real number, not NaN, got {x!r}")
 
 
+def check_per_mode(x, what):
+    """``x`` as a tuple of its entries, one per mode: a list, tuple, range or 1-d array.
+
+    Anything else (a number, a string, a dict, ``None``, a 0-d array) is
+    refused by name, not iterated or broadcast.
+    """
+    if isinstance(x, (list, tuple, range)) or (isinstance(x, np.ndarray) and x.ndim == 1):
+        return tuple(x)
+    raise ValueError(f"{what} must list one entry per mode, got {x!r}")
+
+
 def check_dims(dims):
     """``dims`` as a tuple of ints >= 1, one per mode."""
-    return tuple(positive_int(d, f"dim for mode {n}", 1, DIM_MAX) for n, d in enumerate(dims, 1))
+    return tuple(positive_int(d, f"dim for mode {n}", 1, DIM_MAX)
+                 for n, d in enumerate(check_per_mode(dims, "dims"), 1))
 
 
 def check_rank(dims, target_rank):
     """``target_rank`` as one int in 1..I_n per mode of ``dims``."""
-    rank = tuple(positive_int(r, f"target rank for mode {n}") for n, r in enumerate(target_rank, 1))
+    rank = tuple(positive_int(r, f"target rank for mode {n}")
+                 for n, r in enumerate(check_per_mode(target_rank, "target rank"), 1))
     if len(rank) != len(dims):
         raise ValueError(f"target rank has {len(rank)} entries for an order-{len(dims)} tensor")
     for n, (mu, dim) in enumerate(zip(rank, dims), start=1):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SparseTensor, accumulate_sparse, check_dims, frob_norm, mode_product,
-                   positive_int, real_number)
+from .core import (SparseTensor, accumulate_sparse, check_dims, check_per_mode, frob_norm,
+                   mode_product, positive_int, real_number)
 from .sketch import GaussianStream, gaussian_matrix, philox_rng
 
 
@@ -99,6 +99,7 @@ def gen_sparse_outer(i_dim, densities=None, seed=0, order=3):
     order = positive_int(order, "order")
     if densities is None:
         densities = _OUTER_DENSITIES[:order]
+    densities = check_per_mode(densities, "densities")
     if len(densities) != order:
         raise ValueError(f"need {order} densities, got {len(densities)}")
     densities = [real_number(dens, f"densities[{m}]") for m, dens in enumerate(densities)]
@@ -169,7 +170,7 @@ def gen_tucker_noise(spec, dims):
     """
     dims = check_dims(dims)
     snr_db = real_number(spec.snr_db, "snr_db")
-    core_dims = spec.core_dims
+    core_dims = check_per_mode(spec.core_dims, "core dims")
     if len(core_dims) != len(dims):
         raise ValueError(f"core order {len(core_dims)} does not match dims {dims}")
     for n, (c, d) in enumerate(zip(core_dims, dims), start=1):
@@ -224,5 +225,5 @@ def generate(family, dims, seed=0, nnz=3000, densities=None, core_dims=None, snr
     if family == "tucker_noise":
         if core_dims is None:
             raise ValueError("core dims are required for the tucker_noise family")
-        return gen_tucker_noise(NoisySpec(tuple(core_dims), snr_db, seed), dims)[0]
+        return gen_tucker_noise(NoisySpec(core_dims, snr_db, seed), dims)[0]
     raise ValueError(f"unknown family {family!r}; valid names: {', '.join(FAMILIES)}")

@@ -12,9 +12,10 @@ uniform pairs (u1, u2) from the keyed stream:
 
 emitted in that order, with an odd trailing variate carried over to the next
 request. Matrices are filled row-major. Stream ids are derived as
-``256 * target_mode + source_mode`` via :meth:`GaussianStream.fork`, which is
-why the batch and sequential decompositions draw identical sketch matrices
-for a given (seed, mode pair) whenever the shapes agree.
+``256 * target_mode + source_mode`` via :meth:`GaussianStream.fork`. A plan's
+G_{n,m} is drawn from ``GaussianStream(plan.seed, n).fork(m)`` by
+:func:`sketch_matrices` alone, so batch and seq draw identical matrices for
+a given (seed, mode pair) whenever the shapes agree.
 
 Contraction order
 -----------------
@@ -39,8 +40,9 @@ import numpy as np
 # imports lazily inside the first timed draw
 import numpy.random  # noqa: F401
 
-from .core import (KEY_MAX, SparseTensor, check_dims, check_mode, check_rank, check_seed,
-                   dims_of, mode_product, mode_products, mode_view, positive_int, unfold)
+from .core import (KEY_MAX, SparseTensor, check_dims, check_mode, check_per_mode, check_rank,
+                   check_seed, dims_of, mode_product, mode_products, mode_view, positive_int,
+                   unfold)
 
 
 def philox_rng(seed, stream_id):
@@ -124,14 +126,14 @@ class SketchPlan:
     seed: int = 0
 
     def __post_init__(self):
-        n_modes = len(self.target_rank)
+        n_modes = len(check_per_mode(self.target_rank, "target rank"))
         if n_modes < 1:
             raise ValueError("target rank must name at least one mode")
         rank = tuple(positive_int(r, "target rank entry") for r in self.target_rank)
         object.__setattr__(self, "target_rank", rank)
         object.__setattr__(self, "oversampling", positive_int(self.oversampling, "oversampling", 0))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        order = self.order or tuple(range(1, n_modes + 1))
+        order = check_per_mode(self.order or range(1, n_modes + 1), "order")
         object.__setattr__(self, "order", tuple(positive_int(p, "order entry") for p in order))
         if sorted(self.order) != list(range(1, n_modes + 1)):
             raise ValueError(f"order {self.order} is not a permutation of modes 1..{n_modes}")
@@ -142,7 +144,8 @@ class SketchPlan:
         for n in range(1, n_modes + 1):
             if n not in self.sketch_dims:
                 raise ValueError(f"sketch dims missing for mode {n}")
-            ell = tuple(positive_int(x, f"sketch dim for mode {n}") for x in self.sketch_dims[n])
+            ell = tuple(positive_int(x, f"sketch dim for mode {n}")
+                        for x in check_per_mode(self.sketch_dims[n], f"sketch dims for mode {n}"))
             if len(ell) != n_modes - 1:
                 raise ValueError(f"sketch dims for mode {n} must be {n_modes - 1} positive ints")
             sketch_dims[n] = ell
@@ -227,18 +230,19 @@ def guarantee_gaps(plan, dims):
     return gaps
 
 
-def sketch_matrices(plan, n, dims, stream):
+def sketch_matrices(plan, n, dims):
     """{m: G_{n,m}} for every mode m != n of a tensor of shape ``dims``.
 
     G_{n,m} is L_{n,m} x I_m (``plan.sketch_dims[n]`` in ascending m), drawn
-    i.i.d. standard normal from ``stream.fork(m)``.
+    i.i.d. standard normal from ``GaussianStream(plan.seed, n).fork(m)``.
     """
+    stream = GaussianStream(plan.seed, n)
     others = [m for m in range(1, len(dims) + 1) if m != n]
     return {m: gaussian_matrix(stream.fork(m), ell, dims[m - 1])
             for m, ell in zip(others, plan.sketch_dims[n])}
 
 
-def sketch_mode(c, n, plan, stream):
+def sketch_mode(c, n, plan):
     """Structured sketch of ``c`` for mode ``n``: unfold(c x_m G_{n,m}, n).
 
     The G_{n,m} are :func:`sketch_matrices` for the current sizes of ``c``,
@@ -249,7 +253,7 @@ def sketch_mode(c, n, plan, stream):
     """
     dims = dims_of(c)
     n = check_mode(n, len(dims))
-    return unfold(mode_products(c, sketch_matrices(plan, n, dims, stream)), n)
+    return unfold(mode_products(c, sketch_matrices(plan, n, dims)), n)
 
 
 def stacked_products(t, m, chains):

@@ -20,8 +20,8 @@ built by :func:`_approx`, holds a fresh identity for it.
 slabs of about 2 MiB along the slowest axis in memory, reading the input
 once. :func:`reconstruct` builds the dense tensor for callers that want it.
 
-Randomized algorithms are pure functions of (tensor, plan/parameters, seed);
-see :mod:`tuckersketch.sketch` for the stream derivation.
+Randomized algorithms are pure functions of (tensor, plan) or (tensor,
+parameters, seed); see :mod:`tuckersketch.sketch` for the stream derivation.
 """
 
 import itertools
@@ -35,6 +35,7 @@ from .core import (
     SQUARES_RANGE,
     RankTooLargeError,  # noqa: F401  (kept as tucker.RankTooLargeError)
     SparseTensor,
+    check_per_mode,
     check_rank,
     check_seed,
     check_tensor,
@@ -344,7 +345,7 @@ def _sketch_basis(plan):
     """``basis(c, n, mu)`` for :func:`_tucker`: the SVD basis of ``c``'s :func:`sketch_mode`."""
 
     def basis(c, n, mu):
-        return linalg.fixed_rank_basis(sketch_mode(c, n, plan, GaussianStream(plan.seed, n)), mu)
+        return linalg.fixed_rank_basis(sketch_mode(c, n, plan), mu)
 
     return basis
 
@@ -382,7 +383,7 @@ def tucker_svd_batch(a, plan):
         return _tucker(a, target_rank, _sketch_basis(plan), sequential=False)
     dims = a.shape
     modes = [n for n, (mu, d) in enumerate(zip(target_rank, dims), start=1) if mu < d]
-    chains = {n: sketch_matrices(plan, n, dims, GaussianStream(plan.seed, n)) for n in modes}
+    chains = {n: sketch_matrices(plan, n, dims) for n in modes}
     # _input leaves a layout that memory_axes describes
     axes = memory_axes(a)
     p = next((m for m in axes if dims[m] > 1), axes[0]) + 1
@@ -429,7 +430,7 @@ def _qr_tucker(sketcher, a, target_rank, lprime, oversampling, seed):
         lprime = [mu + positive_int(oversampling, "oversampling", 0) for mu in target_rank]
     elif np.isscalar(lprime):
         lprime = [lprime] * len(target_rank)
-    lprimes = [positive_int(x, "sketch width") for x in lprime]
+    lprimes = [positive_int(x, "sketch width") for x in check_per_mode(lprime, "sketch widths")]
     if len(lprimes) != len(target_rank):
         raise ValueError(f"need one sketch width per mode, got {lprimes}")
     for mu, lp in zip(target_rank, lprimes):
@@ -553,7 +554,6 @@ def decompose(
     target_rank,
     oversampling=10,
     seed=0,
-    plan=None,
     lprime=None,
     max_iters=50,
     tol=1e-4,
@@ -569,9 +569,9 @@ def decompose(
     integer >= 1, its ``tol`` a real number other than NaN and its ``init``
     ``"random"`` or ``"hosvd"``, all whether or not ``algorithm`` uses
     them. Anything else raises ``ValueError`` naming the bad input, and a
-    rank above I_n raises :class:`RankTooLargeError`. A
-    ``plan`` carries its own seed and oversampling, which win over
-    ``seed`` and ``oversampling``; ``target_rank`` must equal its rank.
+    rank above I_n raises :class:`RankTooLargeError`. Seq and batch run
+    ``default_plan(a.shape, target_rank, oversampling, seed)``; a custom
+    plan goes to :func:`tucker_svd_seq` or :func:`tucker_svd_batch` itself.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(
@@ -582,16 +582,11 @@ def decompose(
     max_iters, tol = positive_int(max_iters, "max_iters"), real_number(tol, "tol")
     _check_init(init)
     if lprime is not None:
-        for x in [lprime] if np.isscalar(lprime) else lprime:
+        for x in [lprime] if np.isscalar(lprime) else check_per_mode(lprime, "sketch widths"):
             positive_int(x, "sketch width")
     if algorithm in ("tucker_svd_seq", "tucker_svd_batch"):
-        dims = dims_of(check_tensor(a))
-        if plan is None:
-            plan = default_plan(dims, target_rank, oversampling, seed)
-        elif (rank := check_rank(dims, target_rank)) != plan.target_rank:
-            raise ValueError(f"target rank {rank} differs from the plan's {plan.target_rank}")
         fn = tucker_svd_seq if algorithm == "tucker_svd_seq" else tucker_svd_batch
-        return fn(a, plan)
+        return fn(a, default_plan(dims_of(check_tensor(a)), target_rank, oversampling, seed))
     if algorithm == "hooi":
         return hooi(a, target_rank, max_iters=max_iters, tol=tol, seed=seed, init=init)
     if algorithm == "truncated_hosvd":

@@ -49,6 +49,25 @@ def test_decompose_writes_archive(tmp_path, capsys):
     assert ts.rlne(a, apx) == pytest.approx(metrics.rlne, rel=1e-12)
 
 
+@pytest.mark.parametrize("alg", ["ran_tucker", "kr_tucker"])
+def test_one_lprime_is_given_to_every_mode(tmp_path, capsys, alg):
+    t = tmp_path / "t.txt"
+    ts.write_tensor(ts.gen_reciprocal_sum((5, 6, 7)), t)
+    archives = []
+    for lprime in ("5", "5,5,5"):
+        arch = tmp_path / lprime
+        assert run(["decompose", str(t), "--algorithm", alg, "--rank", "2",
+                    "--lprime", lprime, "--out", str(arch)]) == 0
+        # every line of the metrics file but the wall time
+        metrics = [x for x in (arch / "metrics").read_text().splitlines()
+                   if not x.startswith("wall_time_s=")]
+        archives.append((metrics, {p.name: p.read_bytes() for p in arch.iterdir()
+                                   if p.name != "metrics"}))
+    capsys.readouterr()
+    assert sorted(archives[0][1]) == ["core", "factor_1", "factor_2", "factor_3"]
+    assert archives[0] == archives[1]
+
+
 def test_gen_all_families(tmp_path, capsys):
     cases = [
         (["gen", "reciprocal_sum", "--dims", "6,6,6,6"], "dense 4"),

@@ -502,8 +502,7 @@ COUNT_ENTRIES = {
         lambda v: core.SparseTensor((6, 7, 8), [[0, 0, 0]], [1.0]).unfold_csr(v), "mode", (0, 4)
     ),
     "sketch_mode n": (
-        lambda v: sketch.sketch_mode(A678, v, sketch.default_plan((6, 7, 8), (2, 2, 2)),
-                                     sketch.GaussianStream(1)),
+        lambda v: sketch.sketch_mode(A678, v, sketch.default_plan((6, 7, 8), (2, 2, 2))),
         "mode",
         (0, 4),
     ),
@@ -524,6 +523,94 @@ def test_counts_are_refused_by_name_not_truncated(entry, value):
     call, names, _ = COUNT_ENTRIES[entry]
     with pytest.raises(ValueError, match=names):
         call(value)
+
+
+# ---- one entry per mode ----
+
+NOT_PER_MODE = (5, 2.5, None, "22", {1: 2}, np.array(5))
+# entry -> (call taking a per-mode argument v, what the error names, reprs of
+# the values it takes: None for its default, one int for every mode)
+PER_MODE_ENTRIES = {
+    **{
+        f"decompose {alg} target_rank": (
+            lambda v, alg=alg: ts.decompose(A678, alg, v), "target rank", ""
+        )
+        for alg in ts.ALGORITHMS
+    },
+    **{
+        f"decompose {alg} lprime": (
+            lambda v, alg=alg: ts.decompose(A678, alg, (2, 2, 2), lprime=v), "sketch width",
+            "None 5",
+        )
+        for alg in ts.ALGORITHMS
+    },
+    **{
+        f"{fn.__name__} lprime": (
+            lambda v, fn=fn: fn(A678, (2, 2, 2), lprime=v), "sketch width", "None 5"
+        )
+        for fn in (ts.ran_tucker, ts.kr_tucker)
+    },
+    "default_plan dims": (lambda v: sketch.default_plan(v, (2, 2, 2)), "dims", ""),
+    "default_plan target_rank": (
+        lambda v: sketch.default_plan((6, 7, 8), v), "target rank", ""
+    ),
+    "guarantee_gaps dims": (
+        lambda v: sketch.guarantee_gaps(sketch.SketchPlan((2, 2, 2), 0, WIDE), v), "dims", ""
+    ),
+    "SketchPlan target_rank": (lambda v: sketch.SketchPlan(v, 0, WIDE), "target rank", ""),
+    "SketchPlan order": (lambda v: sketch.SketchPlan((2, 2, 2), 0, WIDE, v), "order", "None"),
+    "SketchPlan sketch dims": (
+        lambda v: sketch.SketchPlan((2, 2, 2), 0, {**WIDE, 2: v}), "sketch dims for mode 2", ""
+    ),
+    "SparseTensor dims": (lambda v: core.SparseTensor(v, [[0, 0]], [1.0]), "dims", ""),
+    "accumulate_sparse dims": (
+        lambda v: core.accumulate_sparse(v, [[0, 0]], [1.0]), "dims", ""
+    ),
+    "fold dims": (lambda v: core.fold(np.zeros((6, 56)), 1, v), "dims", ""),
+    "gen_reciprocal_sum dims": (lambda v: generators.gen_reciprocal_sum(v), "dims", ""),
+    "gen_log_reciprocal dims": (lambda v: generators.gen_log_reciprocal(v), "dims", ""),
+    "gen_random_sparse dims": (lambda v: generators.gen_random_sparse(v, 10), "dims", ""),
+    "gen_sparse_outer densities": (
+        lambda v: generators.gen_sparse_outer(6, densities=v), "densities", "None"
+    ),
+    "gen_tucker_noise dims": (
+        lambda v: generators.gen_tucker_noise(generators.NoisySpec((2, 2, 2), 20.0), v),
+        "dims",
+        "",
+    ),
+    "gen_tucker_noise core dims": (
+        lambda v: generators.gen_tucker_noise(generators.NoisySpec(v, 20.0), (6, 6, 6)),
+        "core dims",
+        "",
+    ),
+    "generate dims": (lambda v: generators.generate("reciprocal_sum", v), "dims", ""),
+    "generate core dims": (
+        lambda v: generators.generate("tucker_noise", (6, 6, 6), core_dims=v), "core dims", ""
+    ),
+    "oracle_floor target_rank": (
+        lambda v: bench.oracle_floor(bench.mode_singular_values(A678), v), "target rank", ""
+    ),
+}
+
+
+@pytest.mark.parametrize("value", NOT_PER_MODE, ids=repr)
+@pytest.mark.parametrize("entry", PER_MODE_ENTRIES)
+def test_a_per_mode_argument_that_is_not_a_sequence_is_refused_by_name(entry, value):
+    call, names, takes = PER_MODE_ENTRIES[entry]
+    if repr(value) in takes.split():
+        call(value)
+    else:
+        with pytest.raises(ValueError, match=names):
+            call(value)
+
+
+def test_lists_tuples_ranges_and_1d_arrays_are_per_mode():
+    want = ts.decompose(A678, "tucker_svd_seq", (2, 3, 4)).core.tobytes()
+    for rank in ([2, 3, 4], range(2, 5), np.array([2, 3, 4])):
+        assert ts.decompose(A678, "tucker_svd_seq", rank).core.tobytes() == want
+    for dims in ([6, 7, 8], range(6, 9), np.array([6, 7, 8]), A678.shape):
+        assert generators.gen_reciprocal_sum(dims).shape == (6, 7, 8)
+        assert sketch.default_plan(dims, np.array([2, 2, 2])).target_rank == (2, 2, 2)
 
 
 # values past the ends of a count. 2**64 goes to the counts that size

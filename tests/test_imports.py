@@ -1,8 +1,9 @@
-"""Imports: a dense run never imports scipy.sparse, and no import is dead.
+"""Imports: a dense run never imports scipy.sparse, and no import or private name is dead.
 
 Which modules are loaded depends on everything imported before, so each
 check runs in a fresh interpreter, as in ``test_determinism.py``. The repo
-has no linter, so the unused-import rule (pyflakes' F401) is an AST check.
+has no linter, so the unused-import rule (pyflakes' F401) and the
+dead-private-name rule are AST checks.
 """
 
 import ast
@@ -117,3 +118,44 @@ def test_the_unused_import_check_sees_a_dead_name(tmp_path):
         "print(os.sep, e)\n"
     )
     assert _unused_imports(p) == [(2, "numpy"), (4, "pi")]
+
+
+def _dead_private_names(path):
+    """``(line, name)`` of each module-level ``_name`` function, class or constant.
+
+    Only those that ``path`` never reads are listed; dunder names are not private.
+    """
+    tree = ast.parse(path.read_text())
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        defined[leaf.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
+def test_every_private_name_is_read_in_its_module():
+    modules = sorted((ROOT / "src" / "tuckersketch").glob("*.py"))
+    assert len(modules) > 5
+    dead = {m.name: _dead_private_names(m) for m in modules}
+    assert {m: d for m, d in dead.items() if d} == {}
+
+
+def test_the_dead_private_name_check_sees_a_dead_helper(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text(
+        "_USED = 1\n"
+        "_DEAD, __version__ = 2, '1'\n"
+        "def _helper():\n    return _USED\n"
+        "def _dead_helper(_arg):\n    _local = _arg\n"
+        "class _Dead:\n    _attr = 0\n"
+        "def api():\n    return _helper()\n"
+    )
+    assert _dead_private_names(p) == [(2, "_DEAD"), (5, "_dead_helper"), (7, "_Dead")]

@@ -236,8 +236,7 @@ def test_sketch_mode_equals_kron_chain():
     c = rng.standard_normal((5, 6, 7))
     plan = sketch.SketchPlan((2, 2, 2), 0, {1: (3, 4), 2: (3, 4), 3: (3, 4)}, seed=11)
     for n in (1, 2, 3):
-        stream = sketch.GaussianStream(plan.seed, n)
-        b = sketch.sketch_mode(c, n, plan, stream)
+        b = sketch.sketch_mode(c, n, plan)
         others = [m for m in (1, 2, 3) if m != n]
         mats = {
             m: sketch.gaussian_matrix(
@@ -257,8 +256,8 @@ def test_sketch_mode_sparse_matches_dense():
     s = core.SparseTensor((5, 6, 7), coords, rng.standard_normal(30))
     plan = sketch.SketchPlan((2, 2, 2), 0, {n: (3, 4) for n in (1, 2, 3)}, seed=4)
     for n in (1, 2, 3):
-        dense_b = sketch.sketch_mode(s.densify(), n, plan, sketch.GaussianStream(4, n))
-        sparse_b = sketch.sketch_mode(s, n, plan, sketch.GaussianStream(4, n))
+        dense_b = sketch.sketch_mode(s.densify(), n, plan)
+        sparse_b = sketch.sketch_mode(s, n, plan)
         np.testing.assert_allclose(sparse_b, dense_b, atol=1e-10)
 
 
@@ -317,7 +316,7 @@ def test_sketch_captures_exact_rank_range():
     for seed in range(20):
         plan = sketch.SketchPlan((3, 3, 3), 10, {n: (4, 4) for n in (1, 2, 3)}, seed=seed)
         for n in (1, 2, 3):
-            b = sketch.sketch_mode(a, n, plan, sketch.GaussianStream(seed, n))
+            b = sketch.sketch_mode(a, n, plan)
             sig = np.linalg.svd(b, compute_uv=False)
             assert sig[3] <= 1e-10 * sig[0]
 

@@ -343,19 +343,25 @@ def test_inputs_outside_the_contract_are_refused_by_name(alg, case, sparse, dire
 @pytest.mark.parametrize(
     "rank, names",
     [
-        ((3, 3, 3), r"target rank \(3, 3, 3\) differs from the plan's \(2, 2, 2\)"),
         ((3, 3, 3, 3), "4 entries for an order-3 tensor"),
-        ("junk", "target rank for mode 1 .*'j'"),
+        # a string is refused whole, not read one character per mode
+        ("junk", "target rank must list one entry per mode, got 'junk'"),
     ],
 )
-def test_a_plan_refuses_another_target_rank(alg, rank, names):
+def test_seq_and_batch_refuse_a_target_rank_of_another_length(alg, rank, names):
     a = np.random.default_rng(0).standard_normal((6, 7, 8))
-    plan = default_plan(a.shape, (2, 2, 2), seed=1)
     with pytest.raises(ValueError, match=names):
-        ts.decompose(a, alg, rank, plan=plan)
-    # the plan's seed and oversampling win over decompose's
-    got = ts.decompose(a, alg, (2, 2, 2), oversampling=3, seed=7, plan=plan)
-    assert got.core.tobytes() == getattr(ts, alg)(a, plan).core.tobytes()
+        ts.decompose(a, alg, rank)
+
+
+@pytest.mark.parametrize("alg", ["tucker_svd_seq", "tucker_svd_batch"])
+def test_decompose_runs_the_default_plan(alg):
+    a = np.random.default_rng(0).standard_normal((6, 7, 8))
+    got = ts.decompose(a, alg, (2, 3, 2), oversampling=3, seed=7)
+    want = getattr(ts, alg)(a, default_plan(a.shape, (2, 3, 2), 3, 7))
+    assert got.core.tobytes() == want.core.tobytes()
+    for q, q_want in zip(got.factors, want.factors):
+        assert q.tobytes() == q_want.tobytes()
 
 
 @pytest.mark.parametrize("lprime", [7.5, (7, 7.0, 7), (7, True, 7)])
@@ -537,6 +543,19 @@ def test_sparse_rlne_never_densifies():
     s = ts.gen_random_sparse((200, 200, 200), 3000, seed=0)
     apx = ts.decompose(s, "tucker_svd_seq", (3, 3, 3), seed=0)
     assert peak_bytes_of_rlne(s, apx) < 0.05 * 200**3 * 8
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_rlne_cuts_the_next_axis_when_one_index_outgrows_a_slab(sparse):
+    # one index of axis 0 holds 4 _SLAB entries, so a slab takes a run of
+    # axis 1 too; slabs of whole indices of axis 0 would hold half the tensor
+    dims = (2, 1000, 1000)
+    a = ts.gen_random_sparse(dims, 3000, seed=0) if sparse else ts.gen_reciprocal_sum(dims)
+    apx = ts.decompose(a, "tucker_svd_seq", (2, 5, 5), seed=0)
+    assert peak_bytes_of_rlne(a, apx) < 0.25 * math.prod(dims) * 8
+    dense = a.densify() if sparse else a
+    ref = np.linalg.norm(dense - ts.reconstruct(apx)) / np.linalg.norm(dense)
+    assert ts.rlne(a, apx) == pytest.approx(ref, rel=1e-10)
 
 
 def test_rlne_rejects_mismatched_dims():
@@ -737,7 +756,7 @@ def test_batch_sketches_equal_the_per_mode_sketches(monkeypatch, dims, rank, lay
     by_mode = dict(zip(sorted(modes, key=lambda n: n == p), sketches))
     assert len(sketches) == len(modes) == len(by_mode)
     for n in modes:
-        ref = sketch_mode(a, n, plan, ts.GaussianStream(plan.seed, n))
+        ref = sketch_mode(a, n, plan)
         np.testing.assert_allclose(by_mode[n], ref, rtol=0, atol=1e-12 * np.linalg.norm(ref))
     ref_core = tucker._project(np.asarray(a), [q if q.shape[0] > q.shape[1] else None
                                                for q in apx.factors])
@@ -891,7 +910,7 @@ def test_sparse_batch_sketches_each_mode_from_the_input():
     apx = ts.tucker_svd_batch(s, plan)
 
     def basis(c, n, mu):
-        return linalg.fixed_rank_basis(sketch_mode(s, n, plan, ts.GaussianStream(plan.seed, n)), mu)
+        return linalg.fixed_rank_basis(sketch_mode(s, n, plan), mu)
 
     ref = tucker._tucker(s, plan.target_rank, basis, sequential=False)
     assert apx.core.tobytes() == ref.core.tobytes()
@@ -934,7 +953,7 @@ def test_tied_shrink_ratios_contract_the_outermost_mode_first(monkeypatch, order
     plan = SketchPlan((2,) * len(dims), 0, {n: (2,) * (len(dims) - 1) for n in modes})
     seen.clear()
     for n in modes:
-        sketch_mode(a, n, plan, sketch.GaussianStream(0, n))
+        sketch_mode(a, n, plan)
     assert seen == [m for n in modes for m in first if m != n]
     # reconstruct expands a core that is always in C order: its outermost
     # mode first, then its innermost, then the middle ones
