@@ -63,10 +63,8 @@ from .sketch import (
 )
 
 ORTHO_TOL = 1e-10
-# entries per slab of the residual that rlne streams (2 MiB of doubles)
+# entries of the largest array a streamed pass allocates per block (2 MiB of doubles)
 _SLAB = 1 << 18
-# entries per slab of the input in tucker_svd_batch's fused pass (8 MiB of doubles)
-_FUSED_SLAB = 1 << 20
 
 
 @dataclass
@@ -365,13 +363,13 @@ def tucker_svd_batch(a, plan):
        them (:func:`~tuckersketch.sketch.stacked_products`); otherwise that
        product would be larger than ``a``, and each is sketched on its own.
     2. Their bases Q_m are taken.
-    3. If p needs a basis too, one more read, in slabs of whole indices of
-       p of at most ``_FUSED_SLAB`` entries, gives p's sketch and ``a``
+    3. If p needs a basis too, one more read gives p's sketch and ``a``
        projected onto the Q_m: mode q, the one with the largest ratio
        I_q / (L_{p,q} + mu_q), ties to the mode nearest p in memory, is
-       contracted with G_{p,q} stacked on Q_q^T. p's basis, taken last,
-       shrinks that partial core to the core. Otherwise the core is one
-       projection of ``a`` at the end.
+       contracted with G_{p,q} stacked on Q_q^T, in blocks of whole
+       indices of p whose stacked product holds at most ``_SLAB`` entries.
+       p's basis, taken last, shrinks that partial core to the core.
+       Otherwise the core is one projection of ``a`` at the end.
 
     So a dense ``a`` is read twice when the lead shrinks. The draws are
     those of :func:`~tuckersketch.sketch.sketch_mode`; only the contraction
@@ -404,7 +402,9 @@ def tucker_svd_batch(a, plan):
     q = min(ratios, key=lambda m: (-ratios[m], axes.index(m - 1)))
     sketch = np.empty([dims[m - 1] if m == p else g[m].shape[0] for m in range(1, len(dims) + 1)])
     partial = np.empty([qts[m].shape[0] if m in qts else d for m, d in enumerate(dims, start=1)])
-    step = max(1, _FUSED_SLAB // (a.size // dims[p - 1]))
+    # a block's stacked product is its input over ratios[q]: at most _SLAB entries
+    step = max(1, _SLAB * dims[p - 1] * dims[q - 1]
+               // (a.size * (g[q].shape[0] + qts[q].shape[0])))
     for lo in range(0, dims[p - 1], step):
         ix = (slice(None),) * (p - 1) + (slice(lo, lo + step),)
         sketch[ix], partial[ix] = stacked_products(a[ix], q, [g, qts])
@@ -422,10 +422,12 @@ def tucker_svd_seq(a, plan):
     return _tucker(*_input(a, plan.target_rank), _sketch_basis(plan), plan.order)
 
 
-def _qr_tucker(sketcher, a, target_rank, lprime, oversampling, seed):
-    """Sequential loop; each basis is the QR of a sketch ``lprime`` wide (one or one per mode)."""
-    seed = check_seed(seed)
-    a, target_rank = _input(a, target_rank)
+def _sketch_widths(target_rank, lprime, oversampling):
+    """One sketch width per mode, each at least its rank in the checked ``target_rank``.
+
+    ``lprime`` is one integer for every mode or one per mode; ``None`` gives
+    mu_n + ``oversampling``.
+    """
     if lprime is None:
         lprime = [mu + positive_int(oversampling, "oversampling", 0) for mu in target_rank]
     elif np.isscalar(lprime):
@@ -436,6 +438,14 @@ def _qr_tucker(sketcher, a, target_rank, lprime, oversampling, seed):
     for mu, lp in zip(target_rank, lprimes):
         if lp < mu:
             raise ValueError(f"sketch width {lp} is below target rank {mu}")
+    return lprimes
+
+
+def _qr_tucker(sketcher, a, target_rank, lprime, oversampling, seed):
+    """Sequential loop; each basis is the QR of a sketch ``lprime`` wide (one or one per mode)."""
+    seed = check_seed(seed)
+    a, target_rank = _input(a, target_rank)
+    lprimes = _sketch_widths(target_rank, lprime, oversampling)
 
     def basis(c, n, mu):
         b = sketcher(c, n, lprimes[n - 1], GaussianStream(seed, n))
@@ -561,11 +571,11 @@ def decompose(
 ):
     """Run one algorithm by name with shared parameter conventions.
 
-    ``a`` and ``target_rank`` are checked by the algorithm against the
-    input contract of :mod:`tuckersketch.core`: a :class:`SparseTensor` or
-    a real array of order >= 1, and one integer in 1..I_n per mode.
-    ``seed`` and ``oversampling`` are integers >= 0 and ``lprime``, when
-    given, one integer >= 1 or one per mode; hooi's ``max_iters`` is an
+    ``a`` and ``target_rank`` are checked against the input contract of
+    :mod:`tuckersketch.core`: a :class:`SparseTensor` or a real array of
+    order >= 1, and one integer in 1..I_n per mode. ``seed`` and
+    ``oversampling`` are integers >= 0 and ``lprime``, when given, one
+    integer >= mu_n for every mode or one per mode; hooi's ``max_iters`` is an
     integer >= 1, its ``tol`` a real number other than NaN and its ``init``
     ``"random"`` or ``"hosvd"``, all whether or not ``algorithm`` uses
     them. Anything else raises ``ValueError`` naming the bad input, and a
@@ -581,12 +591,11 @@ def decompose(
     oversampling = positive_int(oversampling, "oversampling", 0)
     max_iters, tol = positive_int(max_iters, "max_iters"), real_number(tol, "tol")
     _check_init(init)
-    if lprime is not None:
-        for x in [lprime] if np.isscalar(lprime) else check_per_mode(lprime, "sketch widths"):
-            positive_int(x, "sketch width")
+    a = check_tensor(a)
+    _sketch_widths(check_rank(dims_of(a), target_rank), lprime, oversampling)
     if algorithm in ("tucker_svd_seq", "tucker_svd_batch"):
         fn = tucker_svd_seq if algorithm == "tucker_svd_seq" else tucker_svd_batch
-        return fn(a, default_plan(dims_of(check_tensor(a)), target_rank, oversampling, seed))
+        return fn(a, default_plan(dims_of(a), target_rank, oversampling, seed))
     if algorithm == "hooi":
         return hooi(a, target_rank, max_iters=max_iters, tol=tol, seed=seed, init=init)
     if algorithm == "truncated_hosvd":

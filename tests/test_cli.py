@@ -68,6 +68,22 @@ def test_one_lprime_is_given_to_every_mode(tmp_path, capsys, alg):
     assert archives[0] == archives[1]
 
 
+@pytest.mark.parametrize("lprime, names", [
+    ("5,5", "one sketch width per mode"),
+    ("1,5,5", "sketch width 1 is below target rank 2"),
+])
+@pytest.mark.parametrize("alg", ts.ALGORITHMS)
+def test_lprime_that_does_not_fit_the_rank_exits_2_for_every_algorithm(
+    tmp_path, capsys, alg, lprime, names
+):
+    t = tmp_path / "t.txt"
+    ts.write_tensor(ts.gen_reciprocal_sum((6, 7, 8)), t)
+    assert run(["decompose", str(t), "--algorithm", alg, "--rank", "2",
+                "--lprime", lprime]) == 2
+    err = capsys.readouterr().err
+    assert names in err and "Traceback" not in err
+
+
 def test_gen_all_families(tmp_path, capsys):
     cases = [
         (["gen", "reciprocal_sum", "--dims", "6,6,6,6"], "dense 4"),

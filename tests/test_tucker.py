@@ -372,6 +372,17 @@ def test_sketch_widths_must_be_integers(alg, lprime):
         ts.decompose(a, alg, (1, 1, 1), lprime=lprime)
 
 
+@pytest.mark.parametrize("lprime, names", [
+    ((5, 5), "one sketch width per mode"),
+    ((1, 5, 5), "sketch width 1 is below target rank 2"),
+])
+@pytest.mark.parametrize("alg", tucker.ALGORITHMS)
+def test_sketch_widths_are_checked_the_same_way_for_every_algorithm(alg, lprime, names):
+    # also by the algorithms that draw no sketch of width lprime
+    with pytest.raises(ValueError, match=names):
+        ts.decompose(ts.gen_reciprocal_sum((6, 7, 8)), alg, (2, 2, 2), lprime=lprime)
+
+
 @pytest.mark.parametrize("case", ["complex", "0-d"])
 def test_rlne_refuses_tensors_outside_the_contract(case):
     a = np.random.default_rng(0).standard_normal((6, 7, 8))
@@ -554,6 +565,26 @@ def test_rlne_cuts_the_next_axis_when_one_index_outgrows_a_slab(sparse):
     apx = ts.decompose(a, "tucker_svd_seq", (2, 5, 5), seed=0)
     assert peak_bytes_of_rlne(a, apx) < 0.25 * math.prod(dims) * 8
     dense = a.densify() if sparse else a
+    ref = np.linalg.norm(dense - ts.reconstruct(apx)) / np.linalg.norm(dense)
+    assert ts.rlne(a, apx) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("dims", [(3, 300000), (900000,)])
+def test_rlne_cuts_the_last_axis_when_one_row_outgrows_a_slab(dims, sparse):
+    # one row of the last axis holds more than _SLAB entries, so a slab is a
+    # run of that row: 2 MiB, 0.29 of the dense size
+    a = ts.gen_random_sparse(dims, 3000, seed=0) if sparse else ts.gen_reciprocal_sum(dims)
+    dense = a.densify() if sparse else a
+    if len(dims) > 1:
+        apx = ts.decompose(a, "tucker_svd_seq", (2, 2), seed=0)
+    else:
+        # every rank-1 basis of a vector is exact: a perturbed one leaves a residual
+        rng = np.random.default_rng(0)
+        q = dense + np.linalg.norm(dense) / 1000 * rng.standard_normal(dims)
+        q /= np.linalg.norm(q)
+        apx = ts.TuckerApprox(np.array([q @ dense]), [q[:, None]])
+    assert peak_bytes_of_rlne(a, apx) < 0.4 * math.prod(dims) * 8
     ref = np.linalg.norm(dense - ts.reconstruct(apx)) / np.linalg.norm(dense)
     assert ts.rlne(a, apx) == pytest.approx(ref, rel=1e-10)
 
@@ -763,19 +794,49 @@ def test_batch_sketches_equal_the_per_mode_sketches(monkeypatch, dims, rank, lay
     np.testing.assert_allclose(apx.core, ref_core, rtol=0, atol=1e-12 * np.linalg.norm(a))
 
 
-@pytest.mark.parametrize("slab", [1, 7, 50, 200])
+@pytest.mark.parametrize("slab, step", [(1, 1), (160, 2), (320, 4), (500, 6)])
 @pytest.mark.parametrize("layout", ["C", "F", "moveaxis"])
-def test_fused_pass_is_the_same_in_slabs_of_any_size(monkeypatch, slab, layout):
-    # slabs of one index of the fused mode upward, with a ragged last slab
+def test_fused_pass_is_the_same_in_slabs_of_any_size(monkeypatch, slab, step, layout):
+    # one index of the fused mode p (9 long in C order, 7 otherwise) makes an
+    # 80-entry stacked product here, so these give blocks of one index of p
+    # upward; blocks of more than one end with a ragged one
     dims, rank = (9, 5, 4, 7), (2, 2, 3, 2)
     a = tensor_in_layout(dims, layout, np.random.default_rng(3))
     plan = default_plan(dims, rank, oversampling=3, seed=1)
     ref = ts.tucker_svd_batch(a, plan)
-    monkeypatch.setattr(tucker, "_FUSED_SLAB", slab)
+    p = 1 if layout == "C" else 4
+    blocks, original = [], tucker.stacked_products
+
+    def spy(t, mode, chains):
+        blocks.append(t.shape[p - 1])
+        return original(t, mode, chains)
+
+    monkeypatch.setattr(tucker, "stacked_products", spy)
+    monkeypatch.setattr(tucker, "_SLAB", slab)
     apx = ts.tucker_svd_batch(a, plan)
+    # the lead's read of the whole tensor, then the fused pass's blocks
+    n = dims[p - 1]
+    assert blocks == [n] + [min(step, n - lo) for lo in range(0, n, step)]
     np.testing.assert_allclose(apx.core, ref.core, rtol=0, atol=1e-12 * np.linalg.norm(a))
     for q, q_ref in zip(apx.factors, ref.factors):
         np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-9)
+
+
+def test_fused_pass_allocates_one_bounded_block_at_a_time():
+    # L_{1,q} = 3 here, so a block's stacked product is 7/8 of its input.
+    # Blocks hold at most _SLAB product entries (1/8 of a), beside the
+    # partial core (1/8 of a); blocks of half of a would make 7 MiB
+    # products and peak above a.nbytes
+    a = np.random.default_rng(0).standard_normal((4096, 8, 8, 8))
+    plan = default_plan(a.shape, (2, 4, 4, 4))
+    assert plan.sketch_dims[1] == (3, 3, 3)
+    tracemalloc.start()
+    try:
+        ts.tucker_svd_batch(a, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * a.nbytes
 
 
 @pytest.mark.parametrize("layout, p, q", [("C", 1, 2), ("F", 4, 3)])
