@@ -1,9 +1,11 @@
 """Synthetic tensor families for experiments and tests.
 
-Every generator is a pure function of its parameters and seed (Philox streams,
-see :mod:`tuckersketch.sketch`), so benchmark inputs are reproducible
-bit-for-bit. Indices in the closed forms below are 1-based, matching the data
-model.
+Every generator is a pure function of its parameters and seed: each random
+array is one draw keyed by ``(seed, stream id)``
+(:func:`~tuckersketch.sketch.normals`, or
+:func:`~tuckersketch.sketch.philox_rng` for the sparse families), so
+benchmark inputs are reproducible bit-for-bit. Indices in the closed forms
+below are 1-based, matching the data model.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 
 from .core import (SparseTensor, accumulate_sparse, check_dims, check_per_mode, frob_norm,
                    mode_product, positive_int, real_number)
-from .sketch import GaussianStream, gaussian_matrix, philox_rng
+from .sketch import gaussian_matrix, normals, philox_rng
 
 
 def _gather(table, dims, weights):
@@ -165,8 +167,8 @@ def gen_tucker_noise(spec, dims):
     so ``-inf`` and values some thousands of dB from 0 are refused;
     ``snr_db=inf`` means no noise (beta = 0). Returns ``(tensor, beta)``.
 
-    Stream layout under ``spec.seed``: core on stream 0, factor for mode n on
-    stream n, noise on stream N+1; tensors fill first-mode-fastest.
+    Stream ids under ``spec.seed``: 0 for the core, n for the factor of mode
+    n, N+1 for the noise; tensors fill first-mode-fastest.
     """
     dims = check_dims(dims)
     snr_db = real_number(spec.snr_db, "snr_db")
@@ -176,18 +178,14 @@ def gen_tucker_noise(spec, dims):
     for n, (c, d) in enumerate(zip(core_dims, dims), start=1):
         if positive_int(c, f"core dim for mode {n}") > d:
             raise ValueError(f"core dim for mode {n} must be in 1..{d}, got {c}")
-    core = GaussianStream(spec.seed, 0).normals(math.prod(core_dims))
+    core = normals(spec.seed, 0, math.prod(core_dims))
     signal = core.reshape(core_dims, order="F")
     for n in range(1, len(dims) + 1):
-        b = gaussian_matrix(GaussianStream(spec.seed, n), dims[n - 1], core_dims[n - 1])
+        b = gaussian_matrix(spec.seed, n, dims[n - 1], core_dims[n - 1])
         signal = mode_product(signal, n, b)
     if snr_db == math.inf:
         return signal, 0.0
-    noise = (
-        GaussianStream(spec.seed, len(dims) + 1)
-        .normals(math.prod(dims))
-        .reshape(dims, order="F")
-    )
+    noise = normals(spec.seed, len(dims) + 1, math.prod(dims)).reshape(dims, order="F")
     norm_noise = frob_norm(noise)
     try:
         beta = frob_norm(signal) / (norm_noise * 10.0 ** (snr_db / 20.0))

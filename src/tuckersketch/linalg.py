@@ -57,7 +57,8 @@ def left_singular(a, width):
     Returns ``(u, s)`` with ``u`` of shape (rows, ``width``), signs as in
     :func:`svd`, and ``s`` the ``min(a.shape)`` singular values,
     non-increasing. A ``width`` above ``min(a.shape)`` completes ``u`` with
-    an orthonormal basis of the complement of the range.
+    orthonormal columns orthogonal to the range, in rows x ``width`` memory:
+    no rows x rows array is formed.
     """
     a = check_finite(a)
     if not 1 <= width <= a.shape[0]:
@@ -71,7 +72,12 @@ def left_singular(a, width):
         r = np.linalg.qr(m[: k * rows].reshape(k, rows, i), mode="r")
         m = np.concatenate([r.reshape(-1, i), m[k * rows :]])
     r = np.linalg.qr(m, mode="r")
-    u, s, _ = np.linalg.svd(r.T, full_matrices=width > min(a.shape))
+    u, s, _ = np.linalg.svd(r.T, full_matrices=False)
+    if width > u.shape[1]:
+        # the Householder Q of [u | leading identity columns] is orthonormal
+        # whatever their rank; its trailing columns complete u
+        q = np.linalg.qr(np.hstack([u, np.eye(i, width - u.shape[1])]))[0]
+        u = np.hstack([u, q[:, u.shape[1]:]])
     u = u[:, :width]
     return u * column_sign_flips(u), s
 

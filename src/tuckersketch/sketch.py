@@ -1,21 +1,23 @@
-"""Random sketching: deterministic Gaussian streams and sketch operators.
+"""Random sketching: deterministic Gaussian draws and sketch operators.
 
 Randomness contract
 -------------------
-All variates come from counter-based Philox generators keyed by
-``(seed, stream_id)``, so any draw is a pure function of those two integers;
-nothing depends on global RNG state or call order across streams. Standard
-normals are produced by the Box-Muller transform applied to consecutive
-uniform pairs (u1, u2) from the keyed stream:
+Every draw is a pure function of ``(seed, stream_id, count)``:
+:func:`normals` keys one counter-based Philox generator with the two
+integers, so nothing depends on global RNG state, on call order or on any
+earlier draw. Standard normals are produced by the Box-Muller transform
+applied to consecutive uniform pairs (u1, u2) from the keyed generator:
 
     r = sqrt(-2 log(1 - u1)),  z0 = r cos(2 pi u2),  z1 = r sin(2 pi u2)
 
-emitted in that order, with an odd trailing variate carried over to the next
-request. Matrices are filled row-major. Stream ids are derived as
-``256 * target_mode + source_mode`` via :meth:`GaussianStream.fork`. A plan's
-G_{n,m} is drawn from ``GaussianStream(plan.seed, n).fork(m)`` by
+emitted in that order; an odd count drops the last pair's z1, so a shorter
+draw is a prefix of a longer one. :func:`gaussian_matrix` fills its matrix
+row-major. Mode n's Gaussian for another mode m is drawn from stream id
+``256 * n + m`` (m <= 255, so ids are distinct): a plan's G_{n,m}, by
 :func:`sketch_matrices` alone, so batch and seq draw identical matrices for
-a given (seed, mode pair) whenever the shapes agree.
+a given (seed, mode pair) whenever the shapes agree, and the Khatri-Rao
+factors of :func:`sketch_khatri_rao`. The unstructured Omega of
+:func:`sketch_full_gaussian` for mode n is drawn from stream id n.
 
 Contraction order
 -----------------
@@ -52,61 +54,40 @@ def philox_rng(seed, stream_id):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class GaussianStream:
-    """Deterministic stream of standard normal variates.
+def normals(seed, stream_id, n):
+    """First ``n`` standard normal variates of the stream ``(seed, stream_id)``.
 
-    The variate sequence depends only on ``(seed, stream_id)``, integers in
-    0..2^64-1 (2.7, ``True``, ``'3'`` or 2^64 raise ``ValueError``);
-    splitting one request into several yields the same sequence (odd
-    leftovers are buffered).
+    Keys one Philox generator and transforms its first ceil(n / 2) uniform
+    pairs; a shorter draw is a prefix of a longer one.
     """
-
-    def __init__(self, seed, stream_id=0):
-        self.seed = check_seed(seed)
-        self.stream_id = positive_int(stream_id, "stream id", 0, KEY_MAX)
-        self._gen = philox_rng(self.seed, self.stream_id)
-        self._carry = None
-
-    def fork(self, tag):
-        """Child stream with id ``256 * stream_id + tag`` (tag in 0..255)."""
-        tag = positive_int(tag, "fork tag", 0, 255)
-        return GaussianStream(self.seed, 256 * self.stream_id + tag)
-
-    def normals(self, n):
-        """Next ``n`` variates of the stream."""
-        n = positive_int(n, "variate count", 0)
-        filled = 1 if self._carry is not None and n > 0 else 0
-        pairs = (n - filled + 1) // 2
-        # the uniforms are drawn into the output and transformed in place;
-        # an odd count leaves one spare slot, the next request's carry
-        out = np.empty(filled + 2 * pairs)
-        if filled:
-            out[0] = self._carry
-            self._carry = None
-        if pairs:
-            z = out[filled:]
-            self._gen.random(out=z)
-            r, theta = z[0::2], z[1::2]
-            np.negative(r, out=r)
-            np.log1p(r, out=r)
-            r *= -2.0
-            np.sqrt(r, out=r)
-            theta *= 2.0 * np.pi
-            cos = np.cos(theta)
-            np.sin(theta, out=theta)
-            theta *= r
-            cos *= r
-            r[...] = cos
-        if out.size > n:
-            self._carry = float(out[-1])
-            out = out[:n]
-        return out
+    n = positive_int(n, "variate count", 0)
+    # the uniforms are drawn into the output and transformed in place; an
+    # odd count leaves one spare slot, cut off at the end
+    out = np.empty(n + n % 2)
+    philox_rng(seed, stream_id).random(out=out)
+    r, theta = out[0::2], out[1::2]
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    theta *= r
+    cos *= r
+    r[...] = cos
+    return out[:n]
 
 
-def gaussian_matrix(stream, rows, cols):
-    """rows x cols matrix filled row-major from ``stream``."""
+def gaussian_matrix(seed, stream_id, rows, cols):
+    """rows x cols matrix filled row-major from the stream ``(seed, stream_id)``."""
     rows, cols = positive_int(rows, "rows", 0), positive_int(cols, "cols", 0)
-    return stream.normals(rows * cols).reshape(rows, cols)
+    return normals(seed, stream_id, rows * cols).reshape(rows, cols)
+
+
+def _stream_id(n, m):
+    """Stream id of mode n's Gaussian for mode m: 256 n + m, distinct while m <= 255."""
+    return 256 * n + positive_int(m, "sketched mode", 1, 255)
 
 
 @dataclass(frozen=True)
@@ -204,13 +185,23 @@ def default_plan(dims, target_rank, oversampling=10, seed=0):
     return SketchPlan(target_rank, k, sketch_dims, order, seed)
 
 
+def _order(plan, dims):
+    """``len(dims)``; ``ValueError`` naming both orders unless it is ``plan``'s order."""
+    if len(dims) != len(plan.target_rank):
+        raise ValueError(f"a sketch plan of order {len(plan.target_rank)} does not fit "
+                         f"a tensor of order {len(dims)}")
+    return len(dims)
+
+
 def guarantee_gaps(plan, dims):
     """Modes whose sketch widths violate the accuracy-guarantee hypotheses.
 
     The guarantee needs every L_{n,m} > (1 + 1/ln(sqrt(mu))) * sqrt(mu) and the
     total width below min(I_n, prod of the other dims). Returns {mode: reason}.
+    ``dims`` must have the plan's order.
     """
     dims = check_dims(dims)
+    _order(plan, dims)
     gaps = {}
     for n, mu in enumerate(plan.target_rank, start=1):
         reasons = []
@@ -234,11 +225,10 @@ def sketch_matrices(plan, n, dims):
     """{m: G_{n,m}} for every mode m != n of a tensor of shape ``dims``.
 
     G_{n,m} is L_{n,m} x I_m (``plan.sketch_dims[n]`` in ascending m), drawn
-    i.i.d. standard normal from ``GaussianStream(plan.seed, n).fork(m)``.
+    i.i.d. standard normal from the stream ``(plan.seed, 256 n + m)``.
     """
-    stream = GaussianStream(plan.seed, n)
-    others = [m for m in range(1, len(dims) + 1) if m != n]
-    return {m: gaussian_matrix(stream.fork(m), ell, dims[m - 1])
+    others = [m for m in range(1, _order(plan, dims) + 1) if m != n]
+    return {m: gaussian_matrix(plan.seed, _stream_id(n, m), ell, dims[m - 1])
             for m, ell in zip(others, plan.sketch_dims[n])}
 
 
@@ -272,10 +262,11 @@ def stacked_products(t, m, chains):
             for block, c in zip(blocks, chains)]
 
 
-def sketch_full_gaussian(c, n, lprime, stream):
+def sketch_full_gaussian(c, n, lprime, seed):
     """Unstructured sketch unfold(c, n) @ Omega with Omega drawn row-major.
 
-    Omega has one row per column of the unfolding and ``lprime`` columns.
+    Omega has one row per column of the unfolding and ``lprime`` columns,
+    drawn from the stream ``(seed, n)``.
     A dense ``c`` is contracted as its :func:`~tuckersketch.core.mode_view`
     against Omega reordered to match; only Omega, which is small, is ever
     reordered. A sparse ``c`` is multiplied through its CSR unfolding and
@@ -284,7 +275,7 @@ def sketch_full_gaussian(c, n, lprime, stream):
     dims = dims_of(c)
     n, lprime = check_mode(n, len(dims)), positive_int(lprime, "sketch width")
     others = tuple(d for i, d in enumerate(dims) if i != n - 1)
-    omega = gaussian_matrix(stream, math.prod(others), lprime)
+    omega = gaussian_matrix(seed, n, math.prod(others), lprime)
     if isinstance(c, SparseTensor):
         return np.asarray(c.unfold_csr(n) @ omega)
     c = np.asarray(c, dtype=np.float64)
@@ -302,11 +293,12 @@ def sketch_full_gaussian(c, n, lprime, stream):
     return np.matmul(v, omega).sum(axis=0)
 
 
-def sketch_khatri_rao(c, n, lprime, stream):
+def sketch_khatri_rao(c, n, lprime, seed):
     """Sketch unfold(c, n) @ KR where KR is a Khatri-Rao chain of Gaussians.
 
-    One I_m x lprime factor per other mode (drawn from ``stream.fork(m)``,
-    row-major, ascending m); column l of the sketch contracts ``c`` with the
+    One I_m x lprime factor per other mode (drawn from the stream
+    ``(seed, 256 n + m)``, row-major, ascending m, as :func:`sketch_matrices`
+    draws G_{n,m}); column l of the sketch contracts ``c`` with the
     l-th column of every factor. Sparse inputs accumulate per-entry products
     and never densify.
     """
@@ -314,7 +306,7 @@ def sketch_khatri_rao(c, n, lprime, stream):
     n_modes = len(dims)
     n, lprime = check_mode(n, n_modes), positive_int(lprime, "sketch width")
     others = [m for m in range(1, n_modes + 1) if m != n]
-    omegas = {m: gaussian_matrix(stream.fork(m), dims[m - 1], lprime) for m in others}
+    omegas = {m: gaussian_matrix(seed, _stream_id(n, m), dims[m - 1], lprime) for m in others}
     if isinstance(c, SparseTensor):
         out = np.zeros((dims[n - 1], lprime))
         if c.nnz:
@@ -326,8 +318,9 @@ def sketch_khatri_rao(c, n, lprime, stream):
     if not others:
         # the Khatri-Rao product of no factors is a row of ones
         return np.outer(c, np.ones(lprime))
-    # einsum such as 'abc,bz,cz->az' for order 3
-    letters = [chr(ord("a") + i) for i in range(n_modes)]
-    terms = ["".join(letters)] + [letters[m - 1] + "z" for m in others]
-    expr = ",".join(terms) + "->" + letters[n - 1] + "z"
-    return np.einsum(expr, c, *[omegas[m] for m in others], optimize=True)
+    # einsum's sublist form, 'abc,bz,cz->az' for order 3: label m - 1 is
+    # mode m and label N the column; its 52 labels reach order 51
+    operands = [c, list(range(n_modes))]
+    for m in others:
+        operands += [omegas[m], [m - 1, n_modes]]
+    return np.einsum(*operands, [n - 1, n_modes], optimize=True)

@@ -21,7 +21,7 @@ slabs of about 2 MiB along the slowest axis in memory, reading the input
 once. :func:`reconstruct` builds the dense tensor for callers that want it.
 
 Randomized algorithms are pure functions of (tensor, plan) or (tensor,
-parameters, seed); see :mod:`tuckersketch.sketch` for the stream derivation.
+parameters, seed); see :mod:`tuckersketch.sketch` for the stream ids.
 """
 
 import itertools
@@ -52,7 +52,6 @@ from .core import (
     unfold,
 )
 from .sketch import (
-    GaussianStream,
     default_plan,
     gaussian_matrix,
     sketch_full_gaussian,
@@ -317,7 +316,9 @@ def _approx(a, core, bases):
 def _exact_basis(a, n, mu):
     """Leading mu left singular vectors of the exact mode-n unfolding.
 
-    A sparse unfolding X takes them from the eigenvectors U of X X^T, and
+    A sparse unfolding X with fewer columns than rows is densified, at most
+    I_n x I_n entries, and goes to :func:`linalg.left_singular` as a dense
+    one does. A wider one takes them from the eigenvectors U of X X^T, and
     the singular values for the rank decision from the column norms of
     X^T U, where null directions come out near eps * sigma_1 (the Gram
     eigenvalues' roundoff would give sqrt(eps) * sigma_1), so the
@@ -326,16 +327,21 @@ def _exact_basis(a, n, mu):
     sqrt(eps) * sigma_1 still mixes the trailing eigenvectors.
     """
     if isinstance(a, SparseTensor):
-        # an exact power-of-two scale keeps the Gram matrix in the double range
-        x = a.unfold_csr(n) * pow2_scale(a.values)
-        evals, evecs = np.linalg.eigh(linalg.check_finite((x @ x.T).toarray()))
-        u = evecs[:, np.argsort(evals)[::-1][:mu]]
-        u = u * linalg.column_sign_flips(u)
-        return u, linalg.numerical_rank(np.linalg.norm(x.T @ u, axis=0))
-    # unfold(a, n) with its columns in memory order: the same left singular
-    # vectors, and a view when mode n is at either end of memory
-    v, _ = mode_view(a, n)
-    u, sig = linalg.left_singular(v.transpose(1, 0, 2).reshape(v.shape[1], -1), mu)
+        x = a.unfold_csr(n)
+        if x.shape[1] >= x.shape[0]:
+            # an exact power-of-two scale keeps the Gram matrix in the double range
+            x = x * pow2_scale(a.values)
+            evals, evecs = np.linalg.eigh(linalg.check_finite((x @ x.T).toarray()))
+            u = evecs[:, np.argsort(evals)[::-1][:mu]]
+            u = u * linalg.column_sign_flips(u)
+            return u, linalg.numerical_rank(np.linalg.norm(x.T @ u, axis=0))
+        x = x.toarray()
+    else:
+        # unfold(a, n) with its columns in memory order: the same left
+        # singular vectors, and a view when mode n is at either end of memory
+        v, _ = mode_view(a, n)
+        x = v.transpose(1, 0, 2).reshape(v.shape[1], -1)
+    u, sig = linalg.left_singular(x, mu)
     return u, linalg.numerical_rank(sig)
 
 
@@ -448,7 +454,7 @@ def _qr_tucker(sketcher, a, target_rank, lprime, oversampling, seed):
     lprimes = _sketch_widths(target_rank, lprime, oversampling)
 
     def basis(c, n, mu):
-        b = sketcher(c, n, lprimes[n - 1], GaussianStream(seed, n))
+        b = sketcher(c, n, lprimes[n - 1], seed)
         q, rank = linalg.qr_basis_with_rank(b)
         return q[:, :mu], rank
 
@@ -508,9 +514,9 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     tensor twice rather than once per mode. Sweeps stop when the fit
     improves by less than ``tol`` (a real number, not NaN; ``-inf`` runs every
     sweep) or after ``max_iters`` (at least 1).
-    ``init`` is ``"random"`` (orthonormalized Gaussian factors drawn from
-    (seed, mode) streams) or ``"hosvd"`` (the :func:`truncated_hosvd`
-    factors, without its core). A mode at full rank is never
+    ``init`` is ``"random"`` (orthonormalized Gaussian factors, mode n's
+    drawn from stream id n under ``seed``) or ``"hosvd"`` (the
+    :func:`truncated_hosvd` factors, without its core). A mode at full rank is never
     refined and keeps an identity factor, as in every other algorithm;
     ``rank_warnings`` are those of the last sweep.
     """
@@ -524,7 +530,7 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     factors = [
         None if mu == d
         else _exact_basis(a, n, mu)[0] if init == "hosvd"
-        else linalg.qr_basis_with_rank(gaussian_matrix(GaussianStream(seed, n), d, mu))[0]
+        else linalg.qr_basis_with_rank(gaussian_matrix(seed, n, d, mu))[0]
         for n, (d, mu) in enumerate(zip(dims, target_rank), start=1)
     ]
 

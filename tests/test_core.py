@@ -152,8 +152,8 @@ def test_sparse_unfold_times_matches_dense():
     s = random_sparse((5, 4, 3), 20, seed=13)
     d = s.densify()
     for n in range(1, 4):
-        sparse_b = sketch.sketch_full_gaussian(s, n, 6, sketch.GaussianStream(2, n))
-        dense_b = sketch.sketch_full_gaussian(d, n, 6, sketch.GaussianStream(2, n))
+        sparse_b = sketch.sketch_full_gaussian(s, n, 6, 2)
+        dense_b = sketch.sketch_full_gaussian(d, n, 6, 2)
         np.testing.assert_allclose(sparse_b, dense_b, atol=1e-12)
 
 
@@ -413,10 +413,9 @@ COUNT_ENTRIES = {
         "dim for mode 2",
         (0,),
     ),
-    "GaussianStream seed": (lambda v: sketch.GaussianStream(v), "seed", (-1, 2**64)),
-    "GaussianStream stream id": (lambda v: sketch.GaussianStream(1, v), "stream id", (-1, 2**64)),
-    "normals": (lambda v: sketch.GaussianStream(1).normals(v), "variate count", (-1,)),
-    "fork": (lambda v: sketch.GaussianStream(1).fork(v), "fork tag", (-1, 256)),
+    "normals seed": (lambda v: sketch.normals(v, 0, 1), "seed", (-1, 2**64)),
+    "normals stream id": (lambda v: sketch.normals(1, v, 1), "stream id", (-1, 2**64)),
+    "normals": (lambda v: sketch.normals(1, 0, v), "variate count", (-1,)),
     "philox_rng seed": (lambda v: sketch.philox_rng(v, 0), "seed", (-1, 2**64)),
     "philox_rng stream id": (lambda v: sketch.philox_rng(0, v), "stream id", (-1, 2**64)),
     "SparseTensor dims": (
@@ -482,16 +481,10 @@ COUNT_ENTRIES = {
         "target rank",
         (0,),
     ),
-    "gaussian_matrix rows": (
-        lambda v: sketch.gaussian_matrix(sketch.GaussianStream(1), v, 2), "rows", (-1,)
-    ),
-    "gaussian_matrix cols": (
-        lambda v: sketch.gaussian_matrix(sketch.GaussianStream(1), 2, v), "cols", (-1,)
-    ),
+    "gaussian_matrix rows": (lambda v: sketch.gaussian_matrix(1, 0, v, 2), "rows", (-1,)),
+    "gaussian_matrix cols": (lambda v: sketch.gaussian_matrix(1, 0, 2, v), "cols", (-1,)),
     **{
-        f"{fn.__name__} lprime": (
-            lambda v, fn=fn: fn(A678, 1, v, sketch.GaussianStream(1)), "sketch width", (0,)
-        )
+        f"{fn.__name__} lprime": (lambda v, fn=fn: fn(A678, 1, v, 1), "sketch width", (0,))
         for fn in (sketch.sketch_full_gaussian, sketch.sketch_khatri_rao)
     },
     # a mode is one of 1..N
@@ -508,7 +501,7 @@ COUNT_ENTRIES = {
     ),
     **{
         f"{fn.__name__} n": (
-            lambda v, fn=fn: fn(A678, v, 3, sketch.GaussianStream(1)), "mode", (0, 4)
+            lambda v, fn=fn: fn(A678, v, 3, 1), "mode", (0, 4)
         )
         for fn in (sketch.sketch_full_gaussian, sketch.sketch_khatri_rao)
     },
@@ -619,7 +612,7 @@ def test_lists_tuples_ranges_and_1d_arrays_are_per_mode():
 # numpy's MemoryError is the answer there, not pinned here. Where 7000 sizes
 # the work of a probe or a generator, it is left out for time.
 EDGE_COUNTS = (math.nan, math.inf, -math.inf, 1e308, 1e-310, -7000, 7000, 2**64)
-SIZES_NOTHING = "seed|stream id|dim for|mode|fork tag|max_iters"
+SIZES_NOTHING = "seed|stream id|dim for|mode|max_iters"
 COSTLY = ("probe_bound trials", "gen_sparse_outer i_dim", "gen_sparse_outer order")
 # (entry, value) -> what the error names instead: a valid dim the matrix lacks
 EDGE_NAMES = {("fold dims", 7000): "does not match dims"}
@@ -645,6 +638,41 @@ def test_counts_run_or_are_refused_by_name_at_the_edges(entry, value):
         assert re.search(names, str(exc)), exc
     else:
         assert isinstance(value, int) and value >= 0
+
+
+# a plan fits tensors of its own order: entry -> (call, what the error says)
+PLAN3 = sketch.default_plan((10,) * 3, (2, 2, 2))
+PLAN_ORDER_ENTRIES = {
+    "sketch_mode order 4": (
+        lambda: sketch.sketch_mode(np.ones((10,) * 4), 1, PLAN3), "plan of order 3 .* order 4"
+    ),
+    "sketch_mode order 2": (
+        lambda: sketch.sketch_mode(np.ones((10,) * 2), 1, PLAN3), "plan of order 3 .* order 2"
+    ),
+    "sketch_mode sparse order 4": (
+        lambda: sketch.sketch_mode(core.SparseTensor((10,) * 4, [[0] * 4], [1.0]), 4, PLAN3),
+        "plan of order 3 .* order 4",
+    ),
+    "guarantee_gaps order 4": (
+        lambda: sketch.guarantee_gaps(PLAN3, (10,) * 4), "plan of order 3 .* order 4"
+    ),
+    "guarantee_gaps order 2": (
+        lambda: sketch.guarantee_gaps(PLAN3, (10, 10)), "plan of order 3 .* order 2"
+    ),
+    **{
+        f"{fn.__name__} order 4": (
+            lambda fn=fn: fn(np.ones((10,) * 4), PLAN3), "3 entries for an order-4 tensor"
+        )
+        for fn in (ts.tucker_svd_seq, ts.tucker_svd_batch)
+    },
+}
+
+
+@pytest.mark.parametrize("entry", PLAN_ORDER_ENTRIES)
+def test_a_plan_of_another_order_is_refused_by_name(entry):
+    call, says = PLAN_ORDER_ENTRIES[entry]
+    with pytest.raises(ValueError, match=says):
+        call()
 
 
 def _tol_holds(tol):
@@ -706,8 +734,8 @@ def test_numpy_integers_are_counts():
                            max_iters=i64(2))
         want = ts.decompose(A678, alg, (2, 2, 2), seed=3, oversampling=4, max_iters=2)
         assert got.core.tobytes() == want.core.tobytes()
-    stream = sketch.GaussianStream(i64(1), i64(2)).fork(i64(3))
-    assert stream.normals(i64(5)).tobytes() == sketch.GaussianStream(1, 515).normals(5).tobytes()
+    want = sketch.normals(1, 515, 5).tobytes()
+    assert sketch.normals(i64(1), i64(515), i64(5)).tobytes() == want
     sparse = generators.gen_random_sparse(dims, i64(10), seed=i64(1))
     assert sparse.dims == (6, 7, 8) and sparse.nnz == 10
     assert core.SparseTensor(dims, sparse.coords, sparse.values).dims == (6, 7, 8)

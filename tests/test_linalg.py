@@ -6,6 +6,8 @@ same sign convention the package promises: the largest-magnitude entry of
 each left singular vector is positive.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,24 @@ def test_left_singular_completes_a_basis_wider_than_the_rank():
         linalg.left_singular(a, 11)
 
 
+@pytest.mark.parametrize("cols, width", [(2, 3), (1, 2)])
+def test_left_singular_completes_in_rows_times_width_memory(cols, width):
+    # a rows x rows array here would be 128 MB
+    rows = 4000
+    a = np.random.default_rng(cols).standard_normal((rows, cols))
+    tracemalloc.start()
+    try:
+        u, s = linalg.left_singular(a, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * u.nbytes
+    assert u.shape == (rows, width) and s.shape == (cols,)
+    np.testing.assert_allclose(u.T @ u, np.eye(width), atol=1e-12)
+    np.testing.assert_allclose(u[:, :cols] @ (u[:, :cols].T @ a), a, atol=1e-12)
+    assert np.abs(u[:, cols:].T @ a).max() <= 1e-12 * s[0]
+
+
 # ---- the TSQR of left_singular ----
 
 
@@ -230,7 +250,7 @@ def graded(rows, cols, rank, seed):
 def single_qr_left_singular(a, width):
     """``left_singular`` as one Householder QR of ``a.T``, no blocks."""
     r = np.linalg.qr(a.T, mode="r")
-    u, s, _ = np.linalg.svd(r.T, full_matrices=width > min(a.shape))
+    u, s, _ = np.linalg.svd(r.T, full_matrices=False)
     u = u[:, :width]
     return u * linalg.column_sign_flips(u), s
 

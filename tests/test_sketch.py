@@ -1,8 +1,8 @@
-"""Random stream and sketch operator tests.
+"""Gaussian draw and sketch operator tests.
 
-The frozen stream values come from a from-scratch Box-Muller applied to raw
+The frozen draw values come from a from-scratch Box-Muller applied to raw
 Philox uniforms (one pair per two variates, cos before sin), written before
-the stream class existed. Everything downstream of the streams is checked
+the draw code existed. Everything downstream of the draws is checked
 against explicit Kronecker/Khatri-Rao matrix algebra.
 """
 
@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuckersketch import core, sketch
+import tuckersketch as ts
+from tuckersketch import core, generators, sketch
 
 from test_core import LAYOUTS, tensor_in_layout
 
-# GaussianStream(7, 3).normals(5), from the independent oracle
+# normals(7, 3, 5), from the independent oracle
 STREAM_7_3 = (
     -0.18561229419411898,
     -1.1320798309641475,
@@ -29,105 +30,152 @@ STREAM_7_3 = (
 
 
 def test_stream_frozen_values():
-    vals = sketch.GaussianStream(7, 3).normals(5)
+    vals = sketch.normals(7, 3, 5)
     np.testing.assert_allclose(vals, STREAM_7_3, atol=1e-13)
-
-
-def test_stream_chunking_invariance():
-    a = sketch.GaussianStream(3, 9)
-    b = sketch.GaussianStream(3, 9)
-    split = np.concatenate([a.normals(3), a.normals(2), a.normals(4)])
-    np.testing.assert_array_equal(split, b.normals(9))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(0, 2**16),
-    st.lists(st.integers(0, 9), max_size=12),
+    st.lists(st.integers(0, 40), min_size=1, max_size=6),
 )
-def test_stream_split_into_any_chunks_matches_one_draw(seed, stream_id, chunks):
-    split = sketch.GaussianStream(seed, stream_id)
-    parts = [split.normals(k) for k in chunks]
-    for part, k in zip(parts, chunks):
-        assert part.shape == (k,)
-    whole = sketch.GaussianStream(seed, stream_id).normals(sum(chunks) + 1)
-    np.testing.assert_array_equal(np.concatenate([np.empty(0)] + parts), whole[:-1])
-    # and the stream continues where one draw would
-    assert split.normals(1)[0] == whole[-1]
+def test_a_shorter_draw_is_a_prefix_of_a_longer_one(seed, stream_id, counts):
+    longest = sketch.normals(seed, stream_id, max(counts))
+    for k in counts:
+        draw = sketch.normals(seed, stream_id, k)
+        assert draw.shape == (k,)
+        np.testing.assert_array_equal(draw, longest[:k])
 
 
-# sha256 of GaussianStream(7, 1).normals(311041), taken when the transform
-# still built each of r, theta, cos, sin and the interleaved pairs as its own
-# array; an odd count, so the last pair's second variate is carried
+# sha256 of normals(7, 1, 311041), taken when the transform still built each
+# of r, theta, cos, sin and the interleaved pairs as its own array; an odd
+# count, so the last pair's second variate is dropped
 DRAW_7_1_SHA256 = "eabca23767ff1cedf78e3c5928ce1fe46840898229519f6353e0cd811f28e597"
 
 
 def test_in_place_draws_keep_the_stream_bits():
-    whole = sketch.GaussianStream(7, 1).normals(311041)
+    whole = sketch.normals(7, 1, 311041)
     assert hashlib.sha256(whole.tobytes()).hexdigest() == DRAW_7_1_SHA256
-    # the split's second and third parts start on a carried variate
-    split = sketch.GaussianStream(7, 1)
-    h = hashlib.sha256()
-    for k in (100000, 111111, 99930):
-        h.update(split.normals(k).tobytes())
-    assert h.hexdigest() == DRAW_7_1_SHA256
+    # an even count keeps the second variate of the same last pair
+    longer = sketch.normals(7, 1, 311042)
+    assert hashlib.sha256(longer[:-1].tobytes()).hexdigest() == DRAW_7_1_SHA256
 
 
 def test_negative_draw_count_is_rejected():
-    stream = sketch.GaussianStream(7, 1)
-    stream.normals(1)  # a carried variate must not turn -1 into a valid count
     for n in (-1, -2):
         with pytest.raises(ValueError, match="variate count"):
-            stream.normals(n)
-    np.testing.assert_array_equal(stream.normals(3), sketch.GaussianStream(7, 1).normals(4)[1:])
+            sketch.normals(7, 1, n)
 
 
 def test_draws_are_transformed_in_place():
     # the uniforms' buffer becomes the output, plus one half-size temporary
     # for cos: 1.5x the output's bytes
-    stream = sketch.GaussianStream(7, 1)
     tracemalloc.start()
     try:
-        out = stream.normals(311041)
+        out = sketch.normals(7, 1, 311041)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * out.nbytes
 
 
-def test_stream_odd_carry_exactness():
-    # an odd request buffers the sin half of the last pair; the next request
-    # must start with exactly that value
-    a = sketch.GaussianStream(5, 0)
-    first = a.normals(1)
-    rest = a.normals(1)
-    both = sketch.GaussianStream(5, 0).normals(2)
-    assert first[0] == both[0]
-    assert rest[0] == both[1]
-
-
 def test_streams_differ_across_ids_and_seeds():
-    base = sketch.GaussianStream(1, 2).normals(8)
-    assert not np.array_equal(base, sketch.GaussianStream(1, 3).normals(8))
-    assert not np.array_equal(base, sketch.GaussianStream(2, 2).normals(8))
-    np.testing.assert_array_equal(base, sketch.GaussianStream(1, 2).normals(8))
+    base = sketch.normals(1, 2, 8)
+    assert not np.array_equal(base, sketch.normals(1, 3, 8))
+    assert not np.array_equal(base, sketch.normals(2, 2, 8))
+    np.testing.assert_array_equal(base, sketch.normals(1, 2, 8))
 
 
-def test_fork_derivation():
-    s = sketch.GaussianStream(4, 5)
-    child = s.fork(3)
-    assert child.stream_id == 256 * 5 + 3
-    assert child.seed == 4
-    with pytest.raises(ValueError):
-        s.fork(256)
-    with pytest.raises(ValueError):
-        s.fork(-1)
+def test_a_mode_past_255_has_no_stream_id_of_its_own():
+    # mode 1's Gaussian for mode 257 would take the id of mode 2's for mode 1
+    c = core.SparseTensor((2,) + (1,) * 256, [[0] * 257], [1.0])
+    with pytest.raises(ValueError, match="sketched mode"):
+        sketch.sketch_khatri_rao(c, 1, 3, 0)
+
+
+A678 = ts.gen_reciprocal_sum((6, 7, 8))
+# every randomized algorithm, and the generator that draws, on one small case
+DRAWING_RUNS = {
+    **{alg: (lambda alg=alg: ts.decompose(A678, alg, (2, 2, 2), seed=5, max_iters=1))
+       for alg in ("tucker_svd_seq", "tucker_svd_batch", "ran_tucker", "kr_tucker", "hooi")},
+    "gen_tucker_noise": lambda: generators.gen_tucker_noise(
+        generators.NoisySpec((2, 2, 2), 20.0, 5), (6, 7, 8)
+    ),
+}
+# sha256 over the bytes of every draw of each run, in draw order, taken when
+# each draw still went through a stream object: the keys, the counts and the
+# order of the draws are pinned
+DRAW_SHA256 = {
+    "tucker_svd_seq": "9bad039311145817b605d474d4376ae814bedac108e70900c3279168a803c78c",
+    "tucker_svd_batch": "2ff91a23392124adc1f7abf2fdb9f51b827f2a4ce5e82ce4085da956a7680fb4",
+    "ran_tucker": "a309a470a5177bc1fd69015825fab8b152efa32ebc87c8279e6eb85b14b48047",
+    "kr_tucker": "cb0ee0619e8d3dbb9346262327c92bef39de9672322344b774aaea50d558ed12",
+    "hooi": "4a3c864f2ba8caa3e30604e251b6b98940bcdaa300878cee55e66aa64e9628d7",
+    "gen_tucker_noise": "6ea2c91b3731fffba30baae94c192fd5ddf711f19a963480ae40aa70a8f01ca1",
+}
+
+
+@pytest.mark.parametrize("run", DRAWING_RUNS)
+def test_every_draw_keeps_its_bits(monkeypatch, run):
+    h = hashlib.sha256()
+    real = sketch.normals
+
+    def spy(*args):
+        out = real(*args)
+        h.update(out.tobytes())
+        return out
+
+    for module in (sketch, generators):
+        monkeypatch.setattr(module, "normals", spy)
+    DRAWING_RUNS[run]()
+    assert h.hexdigest() == DRAW_SHA256[run]
+
+
+@pytest.mark.parametrize("run", DRAWING_RUNS)
+def test_each_draw_keys_one_philox_generator(monkeypatch, run):
+    keys, draws = [], []
+    philox, real = sketch.philox_rng, sketch.normals
+
+    def key(*args):
+        keys.append(args[1])
+        return philox(*args)
+
+    def draw(*args):
+        draws.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(sketch, "philox_rng", key)
+    for module in (sketch, generators):
+        monkeypatch.setattr(module, "normals", draw)
+    DRAWING_RUNS[run]()
+    assert keys == draws
+    # a sketch of mode n draws one Gaussian per other mode: N(N - 1) at order 3
+    if run in ("tucker_svd_seq", "tucker_svd_batch", "kr_tucker"):
+        assert len(keys) == 6
+
+
+@pytest.mark.parametrize("order", range(25, 34))
+def test_sketch_khatri_rao_past_26_modes(order):
+    # einsum's letters ran out here: (2, 2) followed by modes of size 1
+    c = np.random.default_rng(order).standard_normal((2, 2) + (1,) * (order - 2))
+    for n in (1, order):
+        b = sketch.sketch_khatri_rao(c, n, 3, 4)
+        # the explicit Khatri-Rao product, earliest mode fastest
+        w = np.ones((1, 3))
+        for m in range(1, order + 1):
+            if m != n:
+                omega = sketch.gaussian_matrix(4, 256 * n + m, c.shape[m - 1], 3)
+                w = (omega[:, None, :] * w[None, :, :]).reshape(-1, 3)
+        np.testing.assert_allclose(b, core.unfold(c, n) @ w, atol=1e-12)
+    apx = ts.kr_tucker(c, (1,) * order)
+    assert apx.core.shape == (1,) * order
+    assert ts.rlne(c, apx) < 1.0
 
 
 def test_gaussian_matrix_row_major():
-    m = sketch.gaussian_matrix(sketch.GaussianStream(2, 1), 3, 4)
-    flat = sketch.GaussianStream(2, 1).normals(12)
+    m = sketch.gaussian_matrix(2, 1, 3, 4)
+    flat = sketch.normals(2, 1, 12)
     np.testing.assert_array_equal(m.ravel(order="C"), flat)
 
 
@@ -239,9 +287,7 @@ def test_sketch_mode_equals_kron_chain():
         b = sketch.sketch_mode(c, n, plan)
         others = [m for m in (1, 2, 3) if m != n]
         mats = {
-            m: sketch.gaussian_matrix(
-                sketch.GaussianStream(plan.seed, n).fork(m), ell, c.shape[m - 1]
-            )
+            m: sketch.gaussian_matrix(plan.seed, 256 * n + m, ell, c.shape[m - 1])
             for m, ell in zip(others, plan.sketch_dims[n])
         }
         # unfold(c x G's, n) = unfold(c, n) @ kron(G_last, ..., G_first)^T
@@ -324,9 +370,8 @@ def test_sketch_captures_exact_rank_range():
 def test_sketch_full_gaussian_matches_redraw():
     rng = np.random.default_rng(19)
     c = rng.standard_normal((4, 5, 6))
-    stream = sketch.GaussianStream(9, 2)
-    b = sketch.sketch_full_gaussian(c, 2, 7, stream)
-    omega = sketch.gaussian_matrix(sketch.GaussianStream(9, 2), 4 * 6, 7)
+    b = sketch.sketch_full_gaussian(c, 2, 7, 9)
+    omega = sketch.gaussian_matrix(9, 2, 4 * 6, 7)
     np.testing.assert_allclose(b, core.unfold(c, 2) @ omega, atol=1e-12)
 
 
@@ -344,9 +389,9 @@ def test_sketch_full_gaussian_matches_unfolding_in_every_layout(dims, data, lpri
     c = tensor_in_layout(dims, layout, np.random.default_rng(seed))
     before = np.array(c)
     rows = int(np.prod([d for i, d in enumerate(dims) if i != n - 1]))
-    omega = sketch.gaussian_matrix(sketch.GaussianStream(seed, n), rows, lprime)
+    omega = sketch.gaussian_matrix(seed, n, rows, lprime)
     ref = core.unfold(c, n) @ omega
-    b = sketch.sketch_full_gaussian(c, n, lprime, sketch.GaussianStream(seed, n))
+    b = sketch.sketch_full_gaussian(c, n, lprime, seed)
     assert b.shape == (dims[n - 1], lprime)
     # relative to the size of the summed terms, so cancellation cannot fail it
     scale = np.linalg.norm(np.abs(core.unfold(c, n)) @ np.abs(omega))
@@ -360,8 +405,8 @@ def test_sketch_full_gaussian_sparse_matches_dense():
     coords = np.column_stack(np.unravel_index(lin, (4, 5, 6), order="F"))
     s = core.SparseTensor((4, 5, 6), coords, rng.standard_normal(20))
     for n in (1, 2, 3):
-        dense_b = sketch.sketch_full_gaussian(s.densify(), n, 6, sketch.GaussianStream(1, n))
-        sparse_b = sketch.sketch_full_gaussian(s, n, 6, sketch.GaussianStream(1, n))
+        dense_b = sketch.sketch_full_gaussian(s.densify(), n, 6, 1)
+        sparse_b = sketch.sketch_full_gaussian(s, n, 6, 1)
         np.testing.assert_allclose(sparse_b, dense_b, atol=1e-10)
 
 
@@ -370,14 +415,10 @@ def test_sketch_khatri_rao_matches_explicit_product():
     c = rng.standard_normal((4, 5, 6))
     lprime = 7
     for n in (1, 2, 3):
-        b = sketch.sketch_khatri_rao(c, n, lprime, sketch.GaussianStream(3, n))
+        b = sketch.sketch_khatri_rao(c, n, lprime, 3)
         others = [m for m in (1, 2, 3) if m != n]
-        omegas = {
-            m: sketch.gaussian_matrix(
-                sketch.GaussianStream(3, n).fork(m), c.shape[m - 1], lprime
-            )
-            for m in others
-        }
+        omegas = {m: sketch.gaussian_matrix(3, 256 * n + m, c.shape[m - 1], lprime)
+                  for m in others}
         # columns of the test matrix: kron over others, earliest mode fastest
         w = np.column_stack(
             [np.kron(omegas[others[1]][:, j], omegas[others[0]][:, j]) for j in range(lprime)]
@@ -391,19 +432,16 @@ def test_sketch_khatri_rao_sparse_matches_dense():
     coords = np.column_stack(np.unravel_index(lin, (5, 5, 5), order="F"))
     s = core.SparseTensor((5, 5, 5), coords, rng.standard_normal(25))
     for n in (1, 2, 3):
-        dense_b = sketch.sketch_khatri_rao(s.densify(), n, 6, sketch.GaussianStream(7, n))
-        sparse_b = sketch.sketch_khatri_rao(s, n, 6, sketch.GaussianStream(7, n))
+        dense_b = sketch.sketch_khatri_rao(s.densify(), n, 6, 7)
+        sparse_b = sketch.sketch_khatri_rao(s, n, 6, 7)
         np.testing.assert_allclose(sparse_b, dense_b, atol=1e-10)
 
 
 def test_sketch_khatri_rao_order4():
     rng = np.random.default_rng(37)
     c = rng.standard_normal((3, 4, 3, 4))
-    b = sketch.sketch_khatri_rao(c, 2, 5, sketch.GaussianStream(2, 2))
-    omegas = {
-        m: sketch.gaussian_matrix(sketch.GaussianStream(2, 2).fork(m), c.shape[m - 1], 5)
-        for m in (1, 3, 4)
-    }
+    b = sketch.sketch_khatri_rao(c, 2, 5, 2)
+    omegas = {m: sketch.gaussian_matrix(2, 256 * 2 + m, c.shape[m - 1], 5) for m in (1, 3, 4)}
     w = np.column_stack(
         [np.kron(np.kron(omegas[4][:, j], omegas[3][:, j]), omegas[1][:, j]) for j in range(5)]
     )
@@ -414,4 +452,4 @@ def test_philox_rejects_negative_keys():
     with pytest.raises(ValueError):
         sketch.philox_rng(-1, 0)
     with pytest.raises(ValueError):
-        sketch.GaussianStream(0, -2)
+        sketch.normals(0, -2, 1)

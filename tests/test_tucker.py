@@ -106,7 +106,7 @@ def test_hooi_sweeps_match_the_textbook_sweeps():
     apx = ts.hooi(a, rank, max_iters=3, tol=-math.inf, seed=2)
     factors = [
         np.eye(d) if mu == d
-        else linalg.qr_basis_with_rank(ts.gaussian_matrix(ts.GaussianStream(2, n), d, mu))[0]
+        else linalg.qr_basis_with_rank(ts.gaussian_matrix(2, n, d, mu))[0]
         for n, (d, mu) in enumerate(zip(a.shape, rank), start=1)
     ]
     for _ in range(3):
@@ -124,9 +124,9 @@ def test_hooi_sweeps_match_the_textbook_sweeps():
 def test_hooi_random_init_draws_nothing_for_a_full_rank_mode(monkeypatch):
     shapes = []
 
-    def spy(stream, rows, cols):
+    def spy(seed, stream_id, rows, cols):
         shapes.append((rows, cols))
-        return ts.gaussian_matrix(stream, rows, cols)
+        return ts.gaussian_matrix(seed, stream_id, rows, cols)
 
     monkeypatch.setattr(tucker, "gaussian_matrix", spy)
     ts.hooi(ts.gen_reciprocal_sum((12, 10, 16)), (4, 10, 5), max_iters=2, seed=2)
@@ -251,6 +251,35 @@ def test_hosvd_forms_no_right_singular_vectors():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * a.nbytes
+
+
+EXACT_BASIS_CASES = {
+    # rank 3 of a 4000 x 2 matrix and rank 2 of a 4000-vector need a
+    # completion; mode 1 of the sparse tensor unfolds to 2000 x 9
+    "matrix": (lambda: ts.gen_reciprocal_sum((4000, 2)), (3, 2)),
+    "vector": (lambda: np.arange(1.0, 4001.0), (2,)),
+    "sparse": (lambda: ts.gen_random_sparse((2000, 3, 3), 300, seed=1), (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("alg", ["truncated_hosvd", "hooi"])
+@pytest.mark.parametrize("case", EXACT_BASIS_CASES)
+def test_exact_bases_allocate_no_mode_squared_array(alg, case):
+    make, rank = EXACT_BASIS_CASES[case]
+    a = make()
+    dense = a.densify() if isinstance(a, core.SparseTensor) else a
+    ts.decompose(a, alg, rank)  # imports, such as scipy.sparse, before measuring
+    tracemalloc.start()
+    try:
+        apx = ts.decompose(a, alg, rank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an I_1 x I_1 array of doubles would be 20 times this bound
+    assert peak < dense.shape[0] ** 2 * 8 / 20
+    assert apx.core.shape == rank
+    want = ts.rlne(dense, ts.decompose(dense, alg, rank))
+    assert ts.rlne(a, apx) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_pythagoras_identity():
@@ -953,9 +982,9 @@ def test_batch_draws_each_sketch_matrix_once(monkeypatch, rank, order):
     a = np.asarray(ts.gen_reciprocal_sum(dims), order=order)
     ids = []
 
-    def spy(stream, rows, cols):
-        ids.append(stream.stream_id)
-        return ts.gaussian_matrix(stream, rows, cols)
+    def spy(seed, stream_id, rows, cols):
+        ids.append(stream_id)
+        return ts.gaussian_matrix(seed, stream_id, rows, cols)
 
     for module in (tucker, sketch):
         monkeypatch.setattr(module, "gaussian_matrix", spy)
