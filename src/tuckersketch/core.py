@@ -268,18 +268,15 @@ def memory_axes(t):
 def contraction_order(t, ratios):
     """Modes of ``t`` by decreasing shrink ratio; ``ratios`` maps mode -> ratio.
 
-    Ties go first to the outermost mode in memory (:func:`memory_axes`),
-    then to the innermost, then to the middle ones from outer to inner: the
-    two ends of memory each take one GEMM, and contracting the innermost
-    moves the new axis outermost. A :class:`SparseTensor`, and a layout that
-    :func:`mode_product` copies, count as C order. A pure function of the
-    shapes and the layout.
+    Ties go in memory order, slowest axis first (:func:`memory_axes`). This
+    is the package's one rule for the order of a chain of products. A
+    :class:`SparseTensor`, and a layout that :func:`mode_product` copies,
+    count as C order. A pure function of the shapes and the layout.
     """
     axes = memory_axes(t) if isinstance(t, np.ndarray) else None
     if axes is None:
         axes = tuple(range(len(dims_of(t))))
-    ranked = (axes[0], axes[-1]) + axes[1:-1]
-    return sorted(ratios, key=lambda m: (-ratios[m], ranked.index(m - 1)))
+    return sorted(ratios, key=lambda m: (-ratios[m], axes.index(m - 1)))
 
 
 def dims_of(t):

@@ -23,7 +23,7 @@ Contraction order
 -----------------
 :func:`sketch_mode` contracts the other modes with
 :func:`tuckersketch.core.mode_products`, in the package's one contraction
-order: decreasing shrink ratio, ties to the two ends of memory first.
+order: decreasing shrink ratio, ties in memory order, slowest axis first.
 :func:`stacked_products` runs several such chains on one tensor that all
 contract one mode m: their mode-m matrices are stacked into one GEMM, and
 each chain goes on from its row block of the product in its own order.
@@ -315,12 +315,23 @@ def sketch_khatri_rao(c, n, lprime, seed):
                 contrib *= omegas[m][c.coords[:, m - 1]]
             np.add.at(out, c.coords[:, n - 1], contrib)
         return out
-    if not others:
-        # the Khatri-Rao product of no factors is a row of ones
-        return np.outer(c, np.ones(lprime))
-    # einsum's sublist form, 'abc,bz,cz->az' for order 3: label m - 1 is
-    # mode m and label N the column; its 52 labels reach order 51
-    operands = [c, list(range(n_modes))]
-    for m in others:
-        operands += [omegas[m], [m - 1, n_modes]]
-    return np.einsum(*operands, [n - 1, n_modes], optimize=True)
+    # a mode of size 1 contracts c with the one row of its factor: it
+    # scales the columns, and leaves the einsum
+    short = [m for m in others if dims[m - 1] == 1]
+    scale = np.ones(lprime)
+    for m in short:
+        scale *= omegas[m][0]
+    c = np.squeeze(c, axis=tuple(m - 1 for m in short))
+    kept = [m for m in range(1, n_modes + 1) if m not in short]
+    if kept == [n]:
+        # no other mode is longer than 1: the Khatri-Rao product is one row
+        return np.outer(c, scale)
+    # einsum's sublist form, 'abc,bz,cz->az' for order 3: label k is axis k
+    # of c, the last label the column; its 52 labels reach 51 modes longer
+    # than 1, more than memory holds
+    col = len(kept)
+    operands = [c, list(range(col))]
+    for k, m in enumerate(kept):
+        if m != n:
+            operands += [omegas[m], [k, col]]
+    return np.einsum(*operands, [kept.index(n), col], optimize=True) * scale

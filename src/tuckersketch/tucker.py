@@ -316,32 +316,47 @@ def _approx(a, core, bases):
 def _exact_basis(a, n, mu):
     """Leading mu left singular vectors of the exact mode-n unfolding.
 
-    A sparse unfolding X with fewer columns than rows is densified, at most
-    I_n x I_n entries, and goes to :func:`linalg.left_singular` as a dense
-    one does. A wider one takes them from the eigenvectors U of X X^T, and
-    the singular values for the rank decision from the column norms of
-    X^T U, where null directions come out near eps * sigma_1 (the Gram
-    eigenvalues' roundoff would give sqrt(eps) * sigma_1), so the
-    1e-12 * sigma_1 rule of every other basis applies. That settles
-    exact-rank inputs; a spectrum that decays smoothly below
-    sqrt(eps) * sigma_1 still mixes the trailing eigenvectors.
+    A sparse unfolding X keeps only its rows and columns that hold an
+    entry, at most nnz of each: the left singular vectors of nonzero
+    singular values live on those rows. When the kept matrix is narrow or
+    holds at most ``_SLAB`` entries, it is densified and goes to
+    :func:`linalg.left_singular`, as a dense unfolding does. A larger wide
+    one takes them from the eigenvectors U of its Gram X X^T, at most
+    nnz x nnz, and the singular values for the rank decision from the
+    column norms of X^T U, where null directions come out near
+    eps * sigma_1 (the Gram eigenvalues' roundoff would give
+    sqrt(eps) * sigma_1), so the 1e-12 * sigma_1 rule of every other basis
+    applies. That settles exact-rank inputs; a spectrum that decays smoothly
+    below sqrt(eps) * sigma_1 still mixes the trailing eigenvectors. The
+    basis is scattered back into the full rows, and unit vectors on empty
+    rows complete a width above the kept rows.
     """
     if isinstance(a, SparseTensor):
-        x = a.unfold_csr(n)
-        if x.shape[1] >= x.shape[0]:
+        import scipy.sparse  # loaded by unfold_csr
+
+        x = a.unfold_csr(n).tocoo()
+        rows, i = np.unique(x.row, return_inverse=True)
+        j = np.unique(x.col, return_inverse=True)[1]
+        shape = (len(rows), j.max(initial=-1) + 1)
+        x = scipy.sparse.csr_matrix((x.data, (i, j)), shape=shape)
+        width = min(mu, shape[0])
+        # an unfolding with no entry (0 x 0) takes the Gram route, which allows it
+        if shape[1] < shape[0] or 0 < math.prod(shape) <= _SLAB:
+            part, sig = linalg.left_singular(x.toarray(), width)
+        else:
             # an exact power-of-two scale keeps the Gram matrix in the double range
             x = x * pow2_scale(a.values)
             evals, evecs = np.linalg.eigh(linalg.check_finite((x @ x.T).toarray()))
-            u = evecs[:, np.argsort(evals)[::-1][:mu]]
-            u = u * linalg.column_sign_flips(u)
-            return u, linalg.numerical_rank(np.linalg.norm(x.T @ u, axis=0))
-        x = x.toarray()
-    else:
-        # unfold(a, n) with its columns in memory order: the same left
-        # singular vectors, and a view when mode n is at either end of memory
-        v, _ = mode_view(a, n)
-        x = v.transpose(1, 0, 2).reshape(v.shape[1], -1)
-    u, sig = linalg.left_singular(x, mu)
+            part = evecs[:, np.argsort(evals)[::-1][:width]]
+            sig = np.linalg.norm(x.T @ part, axis=0)
+        u = np.zeros((a.dims[n - 1], mu))
+        u[rows, :width] = part
+        u[np.setdiff1d(np.arange(len(u)), rows)[: mu - width], np.arange(width, mu)] = 1.0
+        return u * linalg.column_sign_flips(u), linalg.numerical_rank(sig)
+    # unfold(a, n) with its columns in memory order: the same left singular
+    # vectors, and a view when mode n is at either end of memory
+    v, _ = mode_view(a, n)
+    u, sig = linalg.left_singular(v.transpose(1, 0, 2).reshape(v.shape[1], -1), mu)
     return u, linalg.numerical_rank(sig)
 
 
@@ -370,10 +385,11 @@ def tucker_svd_batch(a, plan):
        product would be larger than ``a``, and each is sketched on its own.
     2. Their bases Q_m are taken.
     3. If p needs a basis too, one more read gives p's sketch and ``a``
-       projected onto the Q_m: mode q, the one with the largest ratio
-       I_q / (L_{p,q} + mu_q), ties to the mode nearest p in memory, is
-       contracted with G_{p,q} stacked on Q_q^T, in blocks of whole
-       indices of p whose stacked product holds at most ``_SLAB`` entries.
+       projected onto the Q_m: mode q, the first mode of
+       :func:`~tuckersketch.core.contraction_order` by the ratios
+       I_q / (L_{p,q} + mu_q), is contracted with G_{p,q} stacked on
+       Q_q^T, in blocks of whole indices of p whose stacked product holds
+       at most ``_SLAB`` entries.
        p's basis, taken last, shrinks that partial core to the core.
        Otherwise the core is one projection of ``a`` at the end.
 
@@ -405,7 +421,7 @@ def tucker_svd_batch(a, plan):
                                        for n in range(1, len(dims) + 1)]), bases)
     g, qts = chains[p], {m: q.T for m, (q, _) in bases.items()}
     ratios = {m: dims[m - 1] / (g[m].shape[0] + qt.shape[0]) for m, qt in qts.items()}
-    q = min(ratios, key=lambda m: (-ratios[m], axes.index(m - 1)))
+    q = contraction_order(a, ratios)[0]
     sketch = np.empty([dims[m - 1] if m == p else g[m].shape[0] for m in range(1, len(dims) + 1)])
     partial = np.empty([qts[m].shape[0] if m in qts else d for m, d in enumerate(dims, start=1)])
     # a block's stacked product is its input over ratios[q]: at most _SLAB entries
@@ -487,8 +503,8 @@ def truncated_hosvd(a, target_rank):
     Deterministic baseline. Dense inputs take the R factor of the QR of each
     unfolding's transpose and the SVD of that small R
     (:func:`linalg.left_singular`), so no right singular vectors are formed;
-    sparse inputs use the eigendecomposition of the (small) Gram matrix of the
-    unfolding, which never densifies the tensor. A rank above the product of
+    sparse inputs work on the rows and columns of each unfolding that hold
+    an entry, and never densify the tensor. A rank above the product of
     the other dims is met with an orthonormal completion and listed in
     ``rank_warnings``; both kinds of input take the same 1e-12 * sigma_1
     rank rule (see :func:`_exact_basis`).

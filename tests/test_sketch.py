@@ -155,9 +155,10 @@ def test_each_draw_keys_one_philox_generator(monkeypatch, run):
         assert len(keys) == 6
 
 
-@pytest.mark.parametrize("order", range(25, 34))
+@pytest.mark.parametrize("order", [*range(25, 34), 52, 64])
 def test_sketch_khatri_rao_past_26_modes(order):
-    # einsum's letters ran out here: (2, 2) followed by modes of size 1
+    # einsum's letters ran out at 26 and its 52 labels at 52; numpy allows
+    # 64 axes: (2, 2) followed by modes of size 1
     c = np.random.default_rng(order).standard_normal((2, 2) + (1,) * (order - 2))
     for n in (1, order):
         b = sketch.sketch_khatri_rao(c, n, 3, 4)

@@ -164,11 +164,19 @@ def test_decompose_checks_hooi_parameters_for_every_algorithm(alg, kwargs, name)
 
 def test_sparse_hosvd_takes_the_dense_rank_rule():
     # rank 1: the Gram eigenvalues' roundoff gives sigma_2 / sigma_1 near
-    # 1e-8 after the square root, which must not pass for rank
+    # 1e-8 after the square root, which must not pass for rank. The
+    # unfoldings of the larger tensor hold more than _SLAB entries, so its
+    # sparse copy takes the Gram route. In the last tensor two rows of each
+    # mode hold an entry, so a sparse basis of width 3 needs a unit vector
+    # on an empty row
     rng = np.random.default_rng(5)
-    dense = np.einsum("i,j,k->ijk", *(rng.standard_normal(d) for d in (8, 9, 10)))
-    for a in (dense, sparse_copy(dense)):
-        assert ts.truncated_hosvd(a, (3, 3, 3)).rank_warnings == (1, 2, 3)
+    for dims, live in (((8, 9, 10), 10), ((8, 200, 200), 200), ((8, 9, 10), 2)):
+        dense = np.einsum("i,j,k->ijk", *(rng.standard_normal(d) * (np.arange(d) < live)
+                                           for d in dims))
+        for a in (dense, sparse_copy(dense)):
+            apx = ts.truncated_hosvd(a, (3, 3, 3))
+            assert apx.rank_warnings == (1, 2, 3)
+            assert ts.rlne(a, apx) < 1e-14
 
 
 def test_processing_order_insensitivity():
@@ -255,10 +263,12 @@ def test_hosvd_forms_no_right_singular_vectors():
 
 EXACT_BASIS_CASES = {
     # rank 3 of a 4000 x 2 matrix and rank 2 of a 4000-vector need a
-    # completion; mode 1 of the sparse tensor unfolds to 2000 x 9
+    # completion; mode 1 of the sparse tensor unfolds to 2000 x 9, and of
+    # the wide one to 1000 x 1000 with at most 30 rows that hold an entry
     "matrix": (lambda: ts.gen_reciprocal_sum((4000, 2)), (3, 2)),
     "vector": (lambda: np.arange(1.0, 4001.0), (2,)),
     "sparse": (lambda: ts.gen_random_sparse((2000, 3, 3), 300, seed=1), (2, 2, 2)),
+    "sparse-wide": (lambda: ts.gen_random_sparse((1000, 4, 250), 30, seed=1), (2, 2, 2)),
 }
 
 
@@ -502,15 +512,23 @@ def test_reconstruct_matches_projection_chain():
 @pytest.mark.parametrize("dims, rank", [((14, 12, 10), (3, 4, 2)), ((7, 6, 5, 4), (2, 3, 2, 2))])
 @pytest.mark.parametrize("alg", tucker.ALGORITHMS)
 def test_memory_order_does_not_change_the_decomposition(alg, dims, rank):
-    # mode_product contracts an F-ordered tensor through its transpose;
-    # read_tensor returns F order, the generators C order
+    # mode_product contracts an F-ordered or moved-axis tensor through its
+    # transpose, and a sliced view is copied once to C order; read_tensor
+    # returns F order, the generators C order. Contraction-order ties follow
+    # the layout, so only roundoff may differ
     a, _ = ts.gen_tucker_noise(ts.NoisySpec(rank, 30.0, seed=4), dims)
     a = np.ascontiguousarray(a)
+    moved = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+    sliced = np.repeat(a, 2, axis=-1)[..., ::2]
+    assert core.memory_axes(moved) == (*range(1, len(dims)), 0)
+    assert core.memory_axes(sliced) is None
     apx_c = ts.decompose(a, alg, rank, seed=2)
-    apx_f = ts.decompose(np.asfortranarray(a), alg, rank, seed=2)
-    for q_c, q_f in zip(apx_c.factors, apx_f.factors):
-        np.testing.assert_allclose(q_f, q_c, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(apx_f.core, apx_c.core, rtol=0, atol=1e-9 * ts.frob_norm(a))
+    for b in (np.asfortranarray(a), moved, sliced):
+        np.testing.assert_array_equal(b, a)
+        apx = ts.decompose(b, alg, rank, seed=2)
+        for q, q_c in zip(apx.factors, apx_c.factors):
+            np.testing.assert_allclose(q, q_c, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(apx.core, apx_c.core, rtol=0, atol=1e-9 * ts.frob_norm(a))
 
 
 @pytest.mark.parametrize("order", ["C", "F", "moveaxis"])
@@ -1011,17 +1029,16 @@ def test_sparse_batch_sketches_each_mode_from_the_input():
 @pytest.mark.parametrize(
     "order, first",
     [
-        ("C", [1, 3, 2]),
-        ("F", [3, 1, 2]),
-        ("moveaxis", [3, 2, 1]),
-        ("C", [1, 4, 2, 3]),
-        ("F", [4, 1, 3, 2]),
-        ("moveaxis", [4, 3, 1, 2]),
+        ("C", [1, 2, 3]),
+        ("F", [3, 2, 1]),
+        ("moveaxis", [3, 1, 2]),
+        ("C", [1, 2, 3, 4]),
+        ("F", [4, 3, 2, 1]),
+        ("moveaxis", [4, 1, 2, 3]),
     ],
 )
 def test_tied_shrink_ratios_contract_the_outermost_mode_first(monkeypatch, order, first):
-    # then the innermost (whose product moves the new axis outermost), then
-    # the middle axes from outer to inner
+    # then the others in memory order, slowest first: core.memory_axes
     dims = (8,) * len(first)
     a = ts.gen_reciprocal_sum(dims)
     if order == "F":
@@ -1038,15 +1055,14 @@ def test_tied_shrink_ratios_contract_the_outermost_mode_first(monkeypatch, order
         monkeypatch.setattr(module, "mode_product", spy)
     q = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 2)))[0]
     tucker._project(a, [q] * len(dims))
-    assert seen == first
+    assert seen == first == [m + 1 for m in core.memory_axes(a)]
     modes = range(1, len(dims) + 1)
     plan = SketchPlan((2,) * len(dims), 0, {n: (2,) * (len(dims) - 1) for n in modes})
     seen.clear()
     for n in modes:
         sketch_mode(a, n, plan)
     assert seen == [m for n in modes for m in first if m != n]
-    # reconstruct expands a core that is always in C order: its outermost
-    # mode first, then its innermost, then the middle ones
+    # reconstruct expands a core that is always in C order: modes 1..N
     seen.clear()
     ts.reconstruct(ts.TuckerApprox(np.ones((2,) * len(dims)), [q] * len(dims)))
-    assert seen == [1, len(dims), *range(2, len(dims))]
+    assert seen == list(modes)
