@@ -28,10 +28,12 @@ dims, rank = (100, 100, 100), (5, 5, 5)
 plan = ts.default_plan(dims, rank, oversampling=10, seed=0)
 print()
 print("plan for dims", dims, "rank", rank)
+# a plan is its target ranks, its chain widths and its seed; seq picks its
+# processing order from the dims (largest first, ties by mode index)
 print("  chain widths per target mode:", plan.sketch_dims)
-print("  processing order:", plan.order)
+print("  total width per mode:", {n: plan.width(n) for n in plan.sketch_dims})
 for n, why in ts.guarantee_gaps(plan, dims).items():
-    print(f"  outside the guarantee for mode {n}: {why}")
+    print(f"  guarantee gap for mode {n}: {why}")
 print("  (default widths favor speed; widen via a custom SketchPlan when the")
 print("   guarantee matters more than the constant factor)")
 

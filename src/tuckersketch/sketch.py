@@ -92,18 +92,18 @@ def _stream_id(n, m):
 
 @dataclass(frozen=True)
 class SketchPlan:
-    """Per-mode sketch shapes for one decomposition run.
+    """What fixes a sketched run: target ranks, Kronecker chain widths, seed.
 
     ``sketch_dims[n]`` lists L_{n,m} for the other modes m != n in ascending
     m; mode-n sketching compresses mode m from its current size down to
-    L_{n,m}. ``order`` is the processing order for the sequential algorithm.
-    ``seed`` fully determines every random draw of a run using this plan.
+    L_{n,m}. Mode n's width, the product of its L_{n,m}, must be at least
+    mu_n, the basis width :func:`~tuckersketch.linalg.fixed_rank_basis`
+    takes from the sketch. ``seed`` fully determines every random draw of a
+    run using this plan.
     """
 
     target_rank: tuple
-    oversampling: int
     sketch_dims: dict = field(hash=False)
-    order: tuple = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -112,12 +112,7 @@ class SketchPlan:
             raise ValueError("target rank must name at least one mode")
         rank = tuple(positive_int(r, "target rank entry") for r in self.target_rank)
         object.__setattr__(self, "target_rank", rank)
-        object.__setattr__(self, "oversampling", positive_int(self.oversampling, "oversampling", 0))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        order = check_per_mode(self.order or range(1, n_modes + 1), "order")
-        object.__setattr__(self, "order", tuple(positive_int(p, "order entry") for p in order))
-        if sorted(self.order) != list(range(1, n_modes + 1)):
-            raise ValueError(f"order {self.order} is not a permutation of modes 1..{n_modes}")
         extra = [k for k in self.sketch_dims if k not in range(1, n_modes + 1)]
         if extra:
             raise ValueError(f"sketch dims given for modes {extra} outside 1..{n_modes}")
@@ -131,11 +126,9 @@ class SketchPlan:
                 raise ValueError(f"sketch dims for mode {n} must be {n_modes - 1} positive ints")
             sketch_dims[n] = ell
             width = math.prod(ell)
-            floor = self.target_rank[n - 1] + self.oversampling
-            if width < floor:
-                raise ValueError(
-                    f"sketch width {width} for mode {n} is below rank+oversampling={floor}"
-                )
+            if width < rank[n - 1]:
+                raise ValueError(f"sketch width {width} for mode {n} is below its target rank "
+                                 f"{rank[n - 1]}")
         object.__setattr__(self, "sketch_dims", sketch_dims)
 
     def width(self, n):
@@ -147,17 +140,17 @@ def default_plan(dims, target_rank, oversampling=10, seed=0):
 
     Per mode, the total width target is M = max(mu + K, (1 + 1/ln mu) * mu)
     (just mu + K when mu <= 1), split into N-1 integer factors near
-    M^(1/(N-1)); the last factor is bumped until the product reaches mu + K.
-    The processing order visits modes by non-increasing dimension, ties by
-    mode index. ``target_rank`` must be one integer in 1..I_n per mode
-    (:func:`~tuckersketch.core.check_rank`; a rank above I_n raises
-    :class:`~tuckersketch.core.RankTooLargeError`), ``dims`` integers >= 1
-    and ``oversampling`` and ``seed`` integers >= 0; a bool, float or string
-    among them raises ``ValueError`` naming it. Raises ``ValueError`` for
-    an order-1 tensor, which has no other mode to sketch. The widths usually
-    sit outside the regime where the sketch-accuracy guarantee applies, which
-    marks the run as heuristic, not wrong; :func:`guarantee_gaps` lists the
-    modes and reasons.
+    M^(1/(N-1)) whose product reaches mu + K: the ceiling and the rounding
+    of sqrt(M) at order 3, the ceiling of M^(1/(N-1)) otherwise.
+    ``oversampling`` (K) enters the widths only. ``target_rank`` must be
+    one integer in 1..I_n per mode (:func:`~tuckersketch.core.check_rank`;
+    a rank above I_n raises :class:`~tuckersketch.core.RankTooLargeError`),
+    ``dims`` integers >= 1 and ``oversampling`` and ``seed`` integers >= 0;
+    a bool, float or string among them raises ``ValueError`` naming it.
+    Raises ``ValueError`` for an order-1 tensor, which has no other mode to
+    sketch. The widths usually sit outside the regime where the
+    sketch-accuracy guarantee applies, which marks the run as heuristic, not
+    wrong; :func:`guarantee_gaps` lists the modes and reasons.
     """
     dims = check_dims(dims)
     n_modes = len(dims)
@@ -177,12 +170,8 @@ def default_plan(dims, target_rank, oversampling=10, seed=0):
         else:
             root = m_target ** (1.0 / (n_modes - 1))
             ell = [math.ceil(root)] * (n_modes - 1)
-        ell = [max(1, x) for x in ell]
-        while math.prod(ell) < mu + k:
-            ell[-1] += 1
         sketch_dims[n] = tuple(ell)
-    order = tuple(sorted(range(1, n_modes + 1), key=lambda n: (-dims[n - 1], n)))
-    return SketchPlan(target_rank, k, sketch_dims, order, seed)
+    return SketchPlan(target_rank, sketch_dims, seed)
 
 
 def _order(plan, dims):

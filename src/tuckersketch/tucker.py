@@ -437,11 +437,16 @@ def tucker_svd_batch(a, plan):
 def tucker_svd_seq(a, plan):
     """Sequential sketched decomposition (the recommended default).
 
-    Modes are processed in ``plan.order``; each processed mode immediately
+    Modes are processed by non-increasing dimension I_n, ties by mode
+    index: a rule of the dims alone, not of memory layout, so every copy of
+    one tensor gets the same decomposition. Each processed mode immediately
     shrinks the working tensor, so later sketches act on smaller data. The
     final working tensor is the core.
     """
-    return _tucker(*_input(a, plan.target_rank), _sketch_basis(plan), plan.order)
+    a, target_rank = _input(a, plan.target_rank)
+    dims = dims_of(a)
+    order = sorted(range(1, len(dims) + 1), key=lambda n: (-dims[n - 1], n))
+    return _tucker(a, target_rank, _sketch_basis(plan), order)
 
 
 def _sketch_widths(target_rank, lprime, oversampling):

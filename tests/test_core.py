@@ -409,7 +409,7 @@ COUNT_ENTRIES = {
         lambda v: sketch.default_plan((6, 7, 8), (2, 2, 2), seed=v), "seed", (-1, 2**64)
     ),
     "guarantee_gaps dims": (
-        lambda v: sketch.guarantee_gaps(sketch.SketchPlan((2, 2, 2), 0, WIDE), (6, v, 8)),
+        lambda v: sketch.guarantee_gaps(sketch.SketchPlan((2, 2, 2), WIDE), (6, v, 8)),
         "dim for mode 2",
         (0,),
     ),
@@ -548,12 +548,11 @@ PER_MODE_ENTRIES = {
         lambda v: sketch.default_plan((6, 7, 8), v), "target rank", ""
     ),
     "guarantee_gaps dims": (
-        lambda v: sketch.guarantee_gaps(sketch.SketchPlan((2, 2, 2), 0, WIDE), v), "dims", ""
+        lambda v: sketch.guarantee_gaps(sketch.SketchPlan((2, 2, 2), WIDE), v), "dims", ""
     ),
-    "SketchPlan target_rank": (lambda v: sketch.SketchPlan(v, 0, WIDE), "target rank", ""),
-    "SketchPlan order": (lambda v: sketch.SketchPlan((2, 2, 2), 0, WIDE, v), "order", "None"),
+    "SketchPlan target_rank": (lambda v: sketch.SketchPlan(v, WIDE), "target rank", ""),
     "SketchPlan sketch dims": (
-        lambda v: sketch.SketchPlan((2, 2, 2), 0, {**WIDE, 2: v}), "sketch dims for mode 2", ""
+        lambda v: sketch.SketchPlan((2, 2, 2), {**WIDE, 2: v}), "sketch dims for mode 2", ""
     ),
     "SparseTensor dims": (lambda v: core.SparseTensor(v, [[0, 0]], [1.0]), "dims", ""),
     "accumulate_sparse dims": (
@@ -740,5 +739,6 @@ def test_numpy_integers_are_counts():
     assert sparse.dims == (6, 7, 8) and sparse.nnz == 10
     assert core.SparseTensor(dims, sparse.coords, sparse.values).dims == (6, 7, 8)
     plan = sketch.default_plan(A678.shape, (2, 2, 2), i64(3), i64(4))
-    assert (plan.oversampling, plan.seed) == (3, 4)
+    assert plan.sketch_dims == sketch.default_plan(A678.shape, (2, 2, 2), 3).sketch_dims
+    assert plan.seed == 4
     assert bench.probe_bound(A678, plan, i64(2)).trials == 2

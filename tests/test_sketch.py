@@ -6,6 +6,7 @@ the draw code existed. Everything downstream of the draws is checked
 against explicit Kronecker/Khatri-Rao matrix algebra.
 """
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -198,72 +199,66 @@ def test_default_plan_width_examples():
 
 def test_default_plan_width_floor_property():
     # product of factors never drops below mu + K, whatever the split does
-    for mu in range(1, 41, 3):
-        for k in (0, 5, 10, 15):
-            plan = sketch.default_plan((64, 64, 64), (mu,) * 3, oversampling=k)
-            for n in range(1, 4):
-                assert plan.width(n) >= mu + k
-                lo, hi = sorted(plan.sketch_dims[n])
-                assert hi - lo <= 1  # near-square split
-
-
-def test_default_plan_processing_order():
-    plan = sketch.default_plan((50, 80, 60), (5, 5, 5), oversampling=5)
-    assert plan.order == (2, 3, 1)
-    plan = sketch.default_plan((60, 60, 30), (5, 5, 5), oversampling=5)
-    assert plan.order == (1, 2, 3)  # ties broken by mode index
+    for order in range(2, 9):
+        for mu in range(1, 41, 3):
+            for k in (0, 5, 10, 15):
+                plan = sketch.default_plan((64,) * order, (mu,) * order, oversampling=k)
+                for n in range(1, order + 1):
+                    assert plan.width(n) >= mu + k
+                    lo, hi = min(plan.sketch_dims[n]), max(plan.sketch_dims[n])
+                    assert hi - lo <= 1  # near-square split
 
 
 def test_plan_validation():
+    with pytest.raises(ValueError, match="width 4 for mode 1 is below its target rank 5"):
+        sketch.SketchPlan((5, 5, 5), {1: (2, 2), 2: (4, 4), 3: (4, 4)})
+    with pytest.raises(ValueError, match="missing for mode 3"):
+        sketch.SketchPlan((5, 5, 5), {1: (3, 3), 2: (3, 3)})
     with pytest.raises(ValueError):
-        sketch.SketchPlan((5, 5, 5), 10, {1: (2, 2), 2: (4, 4), 3: (4, 4)})  # width 4 < 15
-    with pytest.raises(ValueError):
-        sketch.SketchPlan((5, 5, 5), 0, {1: (3, 3), 2: (3, 3)})  # mode 3 missing
-    with pytest.raises(ValueError):
-        sketch.SketchPlan((5, 5, 5), 0, {n: (3, 3) for n in (1, 2, 3)}, order=(1, 1, 2))
-    with pytest.raises(ValueError):
-        sketch.SketchPlan((5, 0, 5), 0, {n: (3, 3) for n in (1, 2, 3)})
+        sketch.SketchPlan((5, 0, 5), {n: (3, 3) for n in (1, 2, 3)})
+    # a width equal to the rank is enough for the basis
+    assert sketch.SketchPlan((4, 4, 4), {n: (2, 2) for n in (1, 2, 3)}).width(1) == 4
+
+
+def test_plan_holds_rank_widths_and_seed_only():
+    plan = sketch.default_plan((50, 80, 60), (5, 5, 5), oversampling=5, seed=2)
+    assert [f.name for f in dataclasses.fields(plan)] == ["target_rank", "sketch_dims", "seed"]
+    assert plan == sketch.SketchPlan((5, 5, 5), plan.sketch_dims, 2)
 
 
 @pytest.mark.parametrize(
-    "rank, dims, order, oversampling, seed, names",
+    "rank, dims, seed, names",
     [
-        ((2.7, 2, 2), (3, 3), (), 0, 0, "target rank entry .*2.7"),
-        ((2, 2, True), (3, 3), (), 0, 0, "target rank entry .*True"),
-        ((2, 2, 2), (3, 2.5), (), 0, 0, "sketch dim for mode .*2.5"),
-        ((2, 2, 2), (3, 3), (1.0, 2, 3), 0, 0, "order entry .*1.0"),
-        ((2, 2, 2), (3, 3), (), 2.5, 0, "oversampling .*2.5"),
-        ((2, 2, 2), (3, 3), (), True, 0, "oversampling .*True"),
-        ((2, 2, 2), (3, 3), (), "2", 0, "oversampling .*'2'"),
-        ((2, 2, 2), (3, 3), (), -1, 0, "oversampling .*-1"),
-        ((2, 2, 2), (3, 3), (), 0, 2.7, "seed .*2.7"),
-        ((2, 2, 2), (3, 3), (), 0, True, "seed .*True"),
-        ((2, 2, 2), (3, 3), (), 0, "2", "seed .*'2'"),
-        ((2, 2, 2), (3, 3), (), 0, -1, "seed .*-1"),
+        ((2.7, 2, 2), (3, 3), 0, "target rank entry .*2.7"),
+        ((2, 2, True), (3, 3), 0, "target rank entry .*True"),
+        ((2, 2, 2), (3, 2.5), 0, "sketch dim for mode .*2.5"),
+        ((2, 2, 2), (3, 3), 2.7, "seed .*2.7"),
+        ((2, 2, 2), (3, 3), True, "seed .*True"),
+        ((2, 2, 2), (3, 3), "2", "seed .*'2'"),
+        ((2, 2, 2), (3, 3), -1, "seed .*-1"),
     ],
 )
-def test_plan_refuses_non_integers_instead_of_truncating(rank, dims, order, oversampling, seed,
-                                                         names):
+def test_plan_refuses_non_integers_instead_of_truncating(rank, dims, seed, names):
     with pytest.raises(ValueError, match=names):
-        sketch.SketchPlan(rank, oversampling, {n: dims for n in (1, 2, 3)}, order, seed)
+        sketch.SketchPlan(rank, {n: dims for n in (1, 2, 3)}, seed)
 
 
 def test_plan_keeps_its_own_dims_and_compares_them():
     given = {1: [4, 4], 2: [4, 4], 3: [4, 4]}
-    plan = sketch.SketchPlan((5, 5, 5), 0, given)
+    plan = sketch.SketchPlan((5, 5, 5), given)
     assert given == {1: [4, 4], 2: [4, 4], 3: [4, 4]}  # caller's dict untouched
     assert plan.sketch_dims == {1: (4, 4), 2: (4, 4), 3: (4, 4)}
     with pytest.raises(ValueError, match="outside"):
-        sketch.SketchPlan((5, 5, 5), 0, {n: (4, 4) for n in (1, 2, 3, 4)})
-    wide = sketch.SketchPlan((5, 5, 5), 0, {n: (9, 9) for n in (1, 2, 3)})
+        sketch.SketchPlan((5, 5, 5), {n: (4, 4) for n in (1, 2, 3, 4)})
+    wide = sketch.SketchPlan((5, 5, 5), {n: (9, 9) for n in (1, 2, 3)})
     assert plan != wide
-    assert plan == sketch.SketchPlan((5, 5, 5), 0, {n: (4, 4) for n in (1, 2, 3)})
+    assert plan == sketch.SketchPlan((5, 5, 5), {n: (4, 4) for n in (1, 2, 3)})
     assert hash(plan) == hash(wide)  # widths are compared, not hashed
 
 
 def test_guarantee_gaps_empty_for_generous_plan():
     # wide factors, tiny rank, big tensor: all hypotheses hold
-    plan = sketch.SketchPlan((4, 4, 4), 10, {n: (6, 6) for n in (1, 2, 3)})
+    plan = sketch.SketchPlan((4, 4, 4), {n: (6, 6) for n in (1, 2, 3)})
     assert sketch.guarantee_gaps(plan, (100, 100, 100)) == {}
 
 
@@ -283,7 +278,7 @@ def test_guarantee_gaps_take_exact_products_of_huge_dims():
 def test_sketch_mode_equals_kron_chain():
     rng = np.random.default_rng(8)
     c = rng.standard_normal((5, 6, 7))
-    plan = sketch.SketchPlan((2, 2, 2), 0, {1: (3, 4), 2: (3, 4), 3: (3, 4)}, seed=11)
+    plan = sketch.SketchPlan((2, 2, 2), {1: (3, 4), 2: (3, 4), 3: (3, 4)}, seed=11)
     for n in (1, 2, 3):
         b = sketch.sketch_mode(c, n, plan)
         others = [m for m in (1, 2, 3) if m != n]
@@ -301,7 +296,7 @@ def test_sketch_mode_sparse_matches_dense():
     lin = rng.choice(5 * 6 * 7, size=30, replace=False)
     coords = np.column_stack(np.unravel_index(lin, (5, 6, 7), order="F"))
     s = core.SparseTensor((5, 6, 7), coords, rng.standard_normal(30))
-    plan = sketch.SketchPlan((2, 2, 2), 0, {n: (3, 4) for n in (1, 2, 3)}, seed=4)
+    plan = sketch.SketchPlan((2, 2, 2), {n: (3, 4) for n in (1, 2, 3)}, seed=4)
     for n in (1, 2, 3):
         dense_b = sketch.sketch_mode(s.densify(), n, plan)
         sparse_b = sketch.sketch_mode(s, n, plan)
@@ -361,7 +356,7 @@ def test_sketch_captures_exact_rank_range():
     for n in (1, 2, 3):
         a = core.mode_product(a, n, rng.standard_normal((15, 3)))
     for seed in range(20):
-        plan = sketch.SketchPlan((3, 3, 3), 10, {n: (4, 4) for n in (1, 2, 3)}, seed=seed)
+        plan = sketch.SketchPlan((3, 3, 3), {n: (4, 4) for n in (1, 2, 3)}, seed=seed)
         for n in (1, 2, 3):
             b = sketch.sketch_mode(a, n, plan)
             sig = np.linalg.svd(b, compute_uv=False)
