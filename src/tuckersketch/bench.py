@@ -10,7 +10,8 @@ around the decomposition call only, reported as the minimum over
 import csv
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,16 +40,18 @@ class BenchRecord:
 
 @dataclass
 class SuiteConfig:
-    families: tuple
-    algorithms: tuple
-    ranks: tuple
-    seeds: tuple
-    dims: tuple
+    """A suite's settings; its fields are the keys of :func:`parse_config`."""
+
+    families: tuple[str, ...]
+    algorithms: tuple[str, ...]
+    ranks: tuple[int, ...]
+    seeds: tuple[int, ...]
+    dims: tuple[int, ...]
     oversampling: int = 10
-    snr_db: tuple = (0.0, 10.0, 20.0, 40.0)
+    snr_db: tuple[float, ...] = (0.0, 10.0, 20.0, 40.0)
     nnz: int = 3000
-    densities: tuple = None
-    core_dims: tuple = None
+    densities: tuple[float, ...] = None
+    core_dims: tuple[int, ...] = None
     family_seed: int = 0
     timing_repeats: int = 3
     checks: bool = True
@@ -69,31 +72,15 @@ class SuiteConfig:
         self.timing_repeats = positive_int(self.timing_repeats, "timing_repeats")
 
 
-_LIST_FIELDS = {
-    "families": str,
-    "algorithms": str,
-    "ranks": int,
-    "seeds": int,
-    "dims": int,
-    "snr_db": float,
-    "densities": float,
-    "core_dims": int,
-}
-_SCALAR_FIELDS = {
-    "oversampling": int,
-    "nnz": int,
-    "family_seed": int,
-    "timing_repeats": int,
-    "checks": lambda s: {"true": True, "false": False}[s.lower()],
-}
-
-
 def parse_config(text):
     """Parse a flat ``key = value`` config into a :class:`SuiteConfig`.
 
-    List values are comma or whitespace separated; ``#`` starts a comment.
+    The keys are its fields, each read by its annotation: a tuple's values are
+    comma or whitespace separated, a bool is ``true`` or ``false``. The fields
+    without a default are required; ``#`` starts a comment.
     """
-    fields = {}
+    schema = {f.name: f for f in fields(SuiteConfig)}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,22 +88,23 @@ def parse_config(text):
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key in _LIST_FIELDS:
-            conv = _LIST_FIELDS[key]
-            fields[key] = tuple(conv(tok) for tok in val.replace(",", " ").split())
-        elif key in _SCALAR_FIELDS:
-            try:
-                fields[key] = _SCALAR_FIELDS[key](val)
-            except (ValueError, KeyError):
-                raise ValueError(f"config field {key!r}: bad value {val!r}") from None
-        else:
+        key, val = key.strip(), val.strip()
+        if key not in schema:
             raise ValueError(f"unknown config field {key!r}")
-    for required in ("families", "algorithms", "ranks", "seeds", "dims"):
-        if required not in fields:
-            raise ValueError(f"config is missing required field {required!r}")
-    return SuiteConfig(**fields)
+        kind = schema[key].type
+        try:
+            if typing.get_origin(kind) is tuple:
+                values[key] = tuple(map(typing.get_args(kind)[0], val.replace(",", " ").split()))
+            elif kind is bool:
+                values[key] = {"true": True, "false": False}[val.lower()]
+            else:
+                values[key] = kind(val)
+        except (ValueError, KeyError):
+            raise ValueError(f"config field {key!r}: bad value {val!r}") from None
+    for f in schema.values():
+        if f.default is MISSING and f.name not in values:
+            raise ValueError(f"config is missing required field {f.name!r}")
+    return SuiteConfig(**values)
 
 
 def load_config(path):
@@ -268,26 +256,40 @@ def write_records_csv(records, path):
 
 
 def read_records_csv(path):
+    """The records of a CSV that :func:`write_records_csv` wrote.
+
+    Blank rows are skipped. Raises ``ValueError`` naming the path and line
+    for a missing or unexpected header, a row without the nine fields, and
+    a field that does not parse.
+    """
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected CSV header {header}")
+            raise ValueError(f"{path} line 1: unexpected CSV header {header}")
         for row in reader:
-            records.append(
-                BenchRecord(
-                    row[0],
-                    tuple(int(d) for d in row[1].split("x")),
-                    row[2],
-                    int(row[3]),
-                    int(row[4]),
-                    float(row[5]),
-                    float(row[6]),
-                    float(row[7]),
-                    row[8],
+            if not row:
+                continue
+            where = f"{path} line {reader.line_num}"
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"{where}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+            try:
+                records.append(
+                    BenchRecord(
+                        row[0],
+                        tuple(int(d) for d in row[1].split("x")),
+                        row[2],
+                        int(row[3]),
+                        int(row[4]),
+                        float(row[5]),
+                        float(row[6]),
+                        float(row[7]),
+                        row[8],
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return records
 
 
@@ -391,8 +393,6 @@ def _svg_line_chart(series, title, path):
     left, right, top, bottom = 70, 170, 40, 50
     xs = sorted({p for pts in series.values() for p, _ in pts})
     ys = [y for pts in series.values() for _, y in pts]
-    if not xs or not ys:
-        xs, ys = [0, 1], [0.0, 1.0]
     log_y = all(y > 0 for y in ys)
     conv = (lambda y: float(np.log10(y))) if log_y else float
     yvals = [conv(y) for y in ys]

@@ -43,8 +43,8 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .core import (KEY_MAX, SparseTensor, check_dims, check_mode, check_per_mode, check_rank,
-                   check_seed, dims_of, mode_product, mode_products, mode_view, positive_int,
-                   unfold)
+                   check_seed, dims_of, memory_axes, mode_product, mode_products, mode_view,
+                   positive_int, unfold)
 
 
 def philox_rng(seed, stream_id):
@@ -289,7 +289,11 @@ def sketch_khatri_rao(c, n, lprime, seed):
     ``(seed, 256 n + m)``, row-major, ascending m, as :func:`sketch_matrices`
     draws G_{n,m}); column l of the sketch contracts ``c`` with the
     l-th column of every factor. Sparse inputs accumulate per-entry products
-    and never densify.
+    and never densify. A dense ``c`` is contracted by one ``np.einsum`` in its
+    memory order (:func:`~tuckersketch.core.memory_axes`; a sliced view in
+    its index order), the factor of its fastest axis listed first, or of its
+    slowest when the fastest is mode n: the first product is then a GEMM on
+    ``c``'s own strides, not on a transposed copy, when the greedy path ties.
     """
     dims = dims_of(c)
     n_modes = len(dims)
@@ -315,12 +319,18 @@ def sketch_khatri_rao(c, n, lprime, seed):
     if kept == [n]:
         # no other mode is longer than 1: the Khatri-Rao product is one row
         return np.outer(c, scale)
+    axes = memory_axes(c)
+    if axes is not None:
+        # read c in its memory order: axis k of the transpose is mode kept[k]
+        c, kept = c.transpose(axes), [kept[k] for k in axes]
     # einsum's sublist form, 'abc,bz,cz->az' for order 3: label k is axis k
     # of c, the last label the column; its 52 labels reach 51 modes longer
     # than 1, more than memory holds
     col = len(kept)
+    # an end axis's factor first: einsum's greedy path breaks its ties there
+    first = col - 1 if kept[-1] != n else 0
     operands = [c, list(range(col))]
-    for k, m in enumerate(kept):
-        if m != n:
-            operands += [omegas[m], [k, col]]
+    for k in [first] + [k for k in range(col) if k != first]:
+        if kept[k] != n:
+            operands += [omegas[kept[k]], [k, col]]
     return np.einsum(*operands, [kept.index(n), col], optimize=True) * scale

@@ -155,7 +155,9 @@ def rlne(a, approx):
     """Relative low-rank norm error ||a - reconstruct(approx)|| / ||a||.
 
     Streams the residual slab by slab along the slowest axis in memory, so
-    ``a`` is read once and both norms come from that one read: any layout
+    ``a`` is read once and both norms come from that one read, which is the
+    two-thread BLAS dot of a dense slab for ||a||^2, taken before the slab's
+    GEMM so that the one-core subtract finds the slab in cache: any layout
     that :func:`~tuckersketch.core.memory_axes` describes is walked as the
     C-contiguous transpose of itself, with the core and factors permuted to
     match, and any other view (a sliced one) in its C index order, without a
@@ -233,6 +235,12 @@ def rlne(a, approx):
             w = np.ascontiguousarray(w)
         shape = (min(step, dims[k] - start),) + dims[k + 1 :]
         cols = ix[last] if k == last else slice(None)
+        if not sparse:
+            # the threaded dot takes the slab's first read, so the one-core
+            # subtract after the GEMM finds it in cache
+            x = t[ix]
+            flat = x.reshape(-1)
+            norm2 += float(flat @ flat)
         r = buf[: shape[0] * inner].reshape(shape)
         first = i - lo if k else slice(i - lo, i - lo + step)
         rows = w[((first,) + ix[1:])[:last]].reshape(-1, q_t.shape[0])
@@ -242,10 +250,7 @@ def rlne(a, approx):
             at = (a.coords[sel, k] - start,) + tuple(a.coords[sel, k + 1 :].T)
             r[at] -= a.values[sel]
         else:
-            x = t[ix]
             r -= x
-            x = x.reshape(-1)
-            norm2 += float(x @ x)
         r = r.reshape(-1)
         err2 += float(r @ r)
     if not SQUARES_RANGE[0] <= norm2 <= SQUARES_RANGE[1]:
@@ -396,7 +401,8 @@ def tucker_svd_batch(a, plan):
     So a dense ``a`` is read twice when the lead shrinks. The draws are
     those of :func:`~tuckersketch.sketch.sketch_mode`; only the contraction
     order differs, so the sketches and the core agree with the per-mode
-    ones up to roundoff.
+    ones up to roundoff. Memory: at most 0.2x ``a.nbytes`` (``tracemalloc``
+    peak, dense reciprocal_sum 100^3 at rank 5, C or F order).
     """
     a, target_rank = _input(a, plan.target_rank)
     if isinstance(a, SparseTensor):
@@ -441,7 +447,8 @@ def tucker_svd_seq(a, plan):
     index: a rule of the dims alone, not of memory layout, so every copy of
     one tensor gets the same decomposition. Each processed mode immediately
     shrinks the working tensor, so later sketches act on smaller data. The
-    final working tensor is the core.
+    final working tensor is the core. Memory: at most 0.075x ``a.nbytes``
+    (``tracemalloc`` peak, dense reciprocal_sum 100^3 at rank 5, C or F order).
     """
     a, target_rank = _input(a, plan.target_rank)
     dims = dims_of(a)
@@ -488,6 +495,8 @@ def ran_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
     Reference point for the structured sketches: the test matrix is a full
     (prod of other dims) x lprime Gaussian, and the basis comes from QR
     truncated to mu_n columns. ``lprime`` defaults to mu_n + oversampling.
+    Memory: at most 0.38x ``a.nbytes`` (``tracemalloc`` peak, dense
+    reciprocal_sum 100^3 at rank 5, C or F order).
     """
     return _qr_tucker(sketch_full_gaussian, a, target_rank, lprime, oversampling, seed)
 
@@ -497,7 +506,9 @@ def kr_tucker(a, target_rank, lprime=None, oversampling=10, seed=0):
 
     Same loop as :func:`ran_tucker` but the test matrix is a column-wise
     Kronecker chain of per-mode I_m x lprime Gaussians, so only
-    sum(I_m) * lprime variates are drawn per mode.
+    sum(I_m) * lprime variates are drawn per mode. Memory: at most 0.2x
+    ``a.nbytes`` (``tracemalloc`` peak, dense reciprocal_sum 100^3 at rank 5,
+    C or F order).
     """
     return _qr_tucker(sketch_khatri_rao, a, target_rank, lprime, oversampling, seed)
 
@@ -512,7 +523,8 @@ def truncated_hosvd(a, target_rank):
     an entry, and never densify the tensor. A rank above the product of
     the other dims is met with an orthonormal completion and listed in
     ``rank_warnings``; both kinds of input take the same 1e-12 * sigma_1
-    rank rule (see :func:`_exact_basis`).
+    rank rule (see :func:`_exact_basis`). Memory: at most 2.6x ``a.nbytes``
+    (``tracemalloc`` peak, dense reciprocal_sum 100^3 at rank 5, C or F order).
     """
     return _tucker(*_input(a, target_rank), _exact_basis, sequential=False)
 
@@ -539,7 +551,9 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     drawn from stream id n under ``seed``) or ``"hosvd"`` (the
     :func:`truncated_hosvd` factors, without its core). A mode at full rank is never
     refined and keeps an identity factor, as in every other algorithm;
-    ``rank_warnings`` are those of the last sweep.
+    ``rank_warnings`` are those of the last sweep. Memory: at most 0.08x
+    ``a.nbytes`` (``tracemalloc`` peak, dense reciprocal_sum 100^3 at rank 5,
+    C or F order).
     """
     seed = check_seed(seed)
     tol = real_number(tol, "tol")

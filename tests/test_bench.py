@@ -1,7 +1,9 @@
 """Benchmark harness tests: config parsing, suite runs, probe, plots."""
 
 import csv
+import re
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -53,6 +55,20 @@ def test_parse_config_rejects_bad_value():
         ts.parse_config(SMALL_CONFIG + "\ntiming_repeats = soon\n")
     with pytest.raises(ValueError, match="expected 'key = value'"):
         ts.parse_config("families reciprocal_sum\n")
+
+
+@pytest.mark.parametrize("line", [
+    "ranks = 2, x",
+    "dims = 8 8 eight",
+    "snr_db = 10, loud",
+    "densities = 0.1 ; 0.2",
+    "checks = yes",
+])
+def test_parse_config_names_the_field_of_a_bad_value(line):
+    key, _, val = (part.strip() for part in line.partition("="))
+    message = f"config field {key!r}: bad value {val!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ts.parse_config(SMALL_CONFIG + line + "\n")
 
 
 def test_config_rejects_unknown_names():
@@ -133,11 +149,38 @@ def test_records_csv_roundtrip(tmp_path):
         assert ra.extra == rb.extra
 
 
-def test_read_records_csv_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n")
-    with pytest.raises(ValueError, match="header"):
+ROW = "reciprocal_sum,12x12x12,hooi,3,0,0.25,0.75,0.01,"
+HEADER = ",".join(bench.CSV_HEADER)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b,c\n", "line 1: unexpected CSV header ('a', 'b', 'c')"),
+    ("", "line 1: unexpected CSV header ()"),
+    (f"\n{HEADER}\n{ROW}\n", "line 1: unexpected CSV header ()"),
+    (f"{HEADER}\nreciprocal_sum,12x12x12,hooi\n", "line 2: expected 9 fields, got 3"),
+    (f"{HEADER}\n{ROW},more\n", "line 2: expected 9 fields, got 10"),
+    (f"{HEADER}\n{ROW}\n\n{ROW.replace(',3,', ',three,')}\n",
+     "line 4: invalid literal for int() with base 10: 'three'"),
+    (f"{HEADER}\n{ROW.replace('12x12x12', '12x12')}\n{ROW.replace('0.25', 'low')}\n",
+     "line 3: could not convert string to float: 'low'"),
+    (f"{HEADER}\n{ROW.replace('12x12x12', '12xx12')}\n",
+     "line 2: invalid literal for int() with base 10: ''"),
+], ids=["wrong-header", "empty", "blank-first-line", "short-row", "long-row",
+        "bad-P-after-blank", "bad-rlne", "bad-dims"])
+def test_read_records_csv_names_the_file_and_line_of_a_bad_record(tmp_path, text, message):
+    path = tmp_path / "rec.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path} {message}')}$"):
         ts.read_records_csv(path)
+
+
+def test_read_records_csv_skips_blank_rows(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text(f"{HEADER}\n\n{ROW}\n\n{ROW.replace(',0,0.25', ',1,0.5')}\n\n")
+    records = ts.read_records_csv(path)
+    assert [(r.seed, r.rlne) for r in records] == [(0, 0.25), (1, 0.5)]
+    assert records[0] == bench.BenchRecord("reciprocal_sum", (12, 12, 12), "hooi", 3, 0,
+                                           0.25, 0.75, 0.01, "")
 
 
 def test_oracle_floor_matches_delta_tail():
@@ -210,6 +253,15 @@ def test_probe_bound_degenerate_on_exact_rank():
     assert probe.success_fraction == 1.0
 
 
+def test_probe_bound_refuses_an_error_where_no_tail_energy_is_left(monkeypatch):
+    # at full rank every tail energy is exactly 0, so any error is a fault
+    a = ts.gen_reciprocal_sum((4, 4, 4))
+    plan = default_plan((4, 4, 4), (4, 4, 4), oversampling=0)
+    monkeypatch.setattr(bench, "tucker_svd_seq", lambda a, plan: ts.truncated_hosvd(a, (1, 1, 1)))
+    with pytest.raises(ArithmeticError, match="zero tail energy with nonzero decomposition error"):
+        bench.probe_bound(a, plan, trials=2)
+
+
 def test_probe_bound_validates_trials():
     a = ts.gen_reciprocal_sum((8, 8, 8))
     plan = default_plan((8, 8, 8), (2, 2, 2), oversampling=2, seed=0)
@@ -234,6 +286,39 @@ def test_emit_plots_writes_series(tmp_path):
     svg = (out / "reciprocal_sum_rlne.svg").read_text()
     assert svg.startswith("<svg ")
     assert "polyline" in svg
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _record(algorithm, p, rlne, wall_time_s):
+    return bench.BenchRecord("reciprocal_sum", (8, 8, 8), algorithm, p, 0, rlne, 1.0 - rlne,
+                             wall_time_s)
+
+
+@pytest.mark.parametrize("records", [
+    # one rank: the P axis has a single value
+    [_record("hooi", 3, 0.1, 0.02), _record("tucker_svd_seq", 3, 0.2, 0.01)],
+    # two ranks, every value equal: flat series
+    [_record("hooi", 2, 0.1, 0.02), _record("hooi", 3, 0.1, 0.02)],
+], ids=["single-P", "flat"])
+def test_emit_plots_draws_a_single_rank_and_a_flat_series(tmp_path, records):
+    svgs = [p for p in ts.emit_plots(records, tmp_path) if p.endswith(".svg")]
+    assert len(svgs) == 2
+    algorithms = sorted({r.algorithm for r in records})
+    for path in svgs:
+        root = ET.parse(path).getroot()
+        assert root.tag == f"{SVG}svg"
+        width, height = float(root.get("width")), float(root.get("height"))
+        lines = root.findall(f"{SVG}polyline")
+        assert len(lines) == len(algorithms)
+        for line in lines:
+            points = [tuple(map(float, xy.split(","))) for xy in line.get("points").split()]
+            assert len(points) == len({r.p for r in records})
+            assert all(0 <= x <= width and 0 <= y <= height for x, y in points)
+        labels = [t.text for t in root.findall(f"{SVG}text")]
+        assert all(alg in labels for alg in algorithms)
+        assert all(np.isfinite(float(t)) for t in labels[1:] if t not in algorithms)
 
 
 def test_family_instances_rejects_non_cubic_sparse_outer():

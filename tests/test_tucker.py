@@ -313,6 +313,40 @@ def test_exact_bases_allocate_no_mode_squared_array(alg, case):
     assert ts.rlne(a, apx) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+# tracemalloc peak of one decomposition of reciprocal_sum 100^3 at rank 5, over
+# a.nbytes: the largest peak measured in C and in F order (seq 0.059, batch
+# 0.158, hooi 0.062, truncated_hosvd 2.02, ran_tucker 0.30 in C order and 0.23
+# in F, kr_tucker 0.155) plus 25%, rounded up. Each algorithm's docstring and
+# the README state the same bound.
+MEMORY_BOUNDS = {
+    "tucker_svd_seq": 0.075,
+    "tucker_svd_batch": 0.2,
+    "hooi": 0.08,
+    "truncated_hosvd": 2.6,
+    "ran_tucker": 0.38,
+    "kr_tucker": 0.2,
+}
+
+
+@pytest.fixture(scope="module")
+def reciprocal_100():
+    return ts.gen_reciprocal_sum((100, 100, 100))
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("alg", ts.ALGORITHMS)
+def test_each_algorithm_keeps_its_memory_bound(alg, order, reciprocal_100):
+    a = np.asarray(reciprocal_100, order=order)
+    ts.decompose(ts.gen_reciprocal_sum((6, 6, 6)), alg, (5, 5, 5))  # imports first
+    tracemalloc.start()
+    try:
+        ts.decompose(a, alg, (5, 5, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= MEMORY_BOUNDS[alg] * a.nbytes
+
+
 def test_pythagoras_identity():
     a = ts.gen_reciprocal_sum((16, 16, 16))
     norm2 = ts.frob_norm(a) ** 2
