@@ -5,12 +5,8 @@ Randomness contract
 Every draw is a pure function of ``(seed, stream_id, count)``:
 :func:`normals` keys one counter-based Philox generator with the two
 integers, so nothing depends on global RNG state, on call order or on any
-earlier draw. Standard normals are produced by the Box-Muller transform
-applied to consecutive uniform pairs (u1, u2) from the keyed generator:
-
-    r = sqrt(-2 log(1 - u1)),  z0 = r cos(2 pi u2),  z1 = r sin(2 pi u2)
-
-emitted in that order; an odd count drops the last pair's z1, so a shorter
+earlier draw. The standard normals are the generator's
+``standard_normal`` (numpy's ziggurat) of the requested count, and a shorter
 draw is a prefix of a longer one. :func:`gaussian_matrix` fills its matrix
 row-major. Mode n's Gaussian for another mode m is drawn from stream id
 ``256 * n + m`` (m <= 255, so ids are distinct): a plan's G_{n,m}, by
@@ -57,26 +53,11 @@ def philox_rng(seed, stream_id):
 def normals(seed, stream_id, n):
     """First ``n`` standard normal variates of the stream ``(seed, stream_id)``.
 
-    Keys one Philox generator and transforms its first ceil(n / 2) uniform
-    pairs; a shorter draw is a prefix of a longer one.
+    Keys one Philox generator and returns its ``standard_normal(n)``; a
+    shorter draw is a prefix of a longer one.
     """
     n = positive_int(n, "variate count", 0)
-    # the uniforms are drawn into the output and transformed in place; an
-    # odd count leaves one spare slot, cut off at the end
-    out = np.empty(n + n % 2)
-    philox_rng(seed, stream_id).random(out=out)
-    r, theta = out[0::2], out[1::2]
-    np.negative(r, out=r)
-    np.log1p(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta *= 2.0 * np.pi
-    cos = np.cos(theta)
-    np.sin(theta, out=theta)
-    theta *= r
-    cos *= r
-    r[...] = cos
-    return out[:n]
+    return philox_rng(seed, stream_id).standard_normal(n)
 
 
 def gaussian_matrix(seed, stream_id, rows, cols):

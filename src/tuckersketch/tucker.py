@@ -546,12 +546,14 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
     (1 - relative error) comes from its norm, and a sweep reads the full
     tensor twice rather than once per mode. Sweeps stop when the fit
     improves by less than ``tol`` (a real number, not NaN; ``-inf`` runs every
-    sweep) or after ``max_iters`` (at least 1).
+    sweep) or after ``max_iters`` (at least 1). When the sweep that stops
+    on ``tol`` has a lower fit than the one before it, that previous sweep
+    is returned and the lower fit is left out of ``fit_history``.
     ``init`` is ``"random"`` (orthonormalized Gaussian factors, mode n's
     drawn from stream id n under ``seed``) or ``"hosvd"`` (the
     :func:`truncated_hosvd` factors, without its core). A mode at full rank is never
     refined and keeps an identity factor, as in every other algorithm;
-    ``rank_warnings`` are those of the last sweep. Memory: at most 0.08x
+    ``rank_warnings`` are those of the returned sweep. Memory: at most 0.08x
     ``a.nbytes`` (``tracemalloc`` peak, dense reciprocal_sum 100^3 at rank 5,
     C or F order).
     """
@@ -574,19 +576,22 @@ def hooi(a, target_rank, max_iters=50, tol=1e-4, seed=0, init="random"):
         return factors[n - 1], rank
 
     norm_a = frob_norm(a)
-    fit_prev = -math.inf
     history = []
     for _ in range(max_iters):
         approx = _tucker(a, target_rank, basis)
         # a ratio of norms: no square leaves the double range
         kept2 = (frob_norm(approx.core) / norm_a) ** 2 if norm_a else 1.0
         fit = 1.0 - math.sqrt(max(1.0 - kept2, 0.0))
-        history.append(fit)
-        if fit - fit_prev < tol:
+        gain = fit - history[-1] if history else math.inf
+        if gain < min(tol, 0.0):
+            # stopped on tol by a fall: the previous sweep is returned
             break
-        fit_prev = fit
-    approx.fit_history = tuple(history)
-    return approx
+        history.append(fit)
+        best = approx
+        if gain < tol:
+            break
+    best.fit_history = tuple(history)
+    return best
 
 
 ALGORITHMS = (

@@ -1,9 +1,9 @@
 """Gaussian draw and sketch operator tests.
 
-The frozen draw values come from a from-scratch Box-Muller applied to raw
-Philox uniforms (one pair per two variates, cos before sin), written before
-the draw code existed. Everything downstream of the draws is checked
-against explicit Kronecker/Khatri-Rao matrix algebra.
+The frozen draw values come from numpy's own ``Generator(Philox(key=[seed,
+stream_id])).standard_normal``, built here without the package. Everything
+downstream of the draws is checked against explicit Kronecker/Khatri-Rao
+matrix algebra.
 """
 
 import dataclasses
@@ -22,11 +22,11 @@ from test_core import LAYOUTS, tensor_in_layout
 
 # normals(7, 3, 5), from the independent oracle
 STREAM_7_3 = (
-    -0.18561229419411898,
-    -1.1320798309641475,
-    -0.12961771443830444,
-    0.293803894410609,
-    0.5090403330420534,
+    -2.3662085691511003,
+    -1.391050781996294,
+    -0.7264621797154692,
+    -1.1888950555596285,
+    -1.244717995430039,
 )
 
 
@@ -49,16 +49,23 @@ def test_a_shorter_draw_is_a_prefix_of_a_longer_one(seed, stream_id, counts):
         np.testing.assert_array_equal(draw, longest[:k])
 
 
-# sha256 of normals(7, 1, 311041), taken when the transform still built each
-# of r, theta, cos, sin and the interleaved pairs as its own array; an odd
-# count, so the last pair's second variate is dropped
-DRAW_7_1_SHA256 = "eabca23767ff1cedf78e3c5928ce1fe46840898229519f6353e0cd811f28e597"
+@pytest.mark.parametrize("seed, stream_id", [(0, 0), (7, 3), (2**64 - 1, 257)])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 1001, 1002])
+def test_a_draw_is_the_keyed_generators_standard_normal(seed, stream_id, n):
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+    draw = sketch.normals(seed, stream_id, n)
+    assert draw.dtype == np.float64 and draw.tobytes() == want.tobytes()
 
 
-def test_in_place_draws_keep_the_stream_bits():
+# sha256 of normals(7, 1, 311041), an odd count
+DRAW_7_1_SHA256 = "9397eadadc99930999f73829d10c942399fe639c11bbd3cf9deed33d8fbc371e"
+
+
+def test_a_long_draw_keeps_its_bits():
     whole = sketch.normals(7, 1, 311041)
     assert hashlib.sha256(whole.tobytes()).hexdigest() == DRAW_7_1_SHA256
-    # an even count keeps the second variate of the same last pair
+    # an even count extends the same draw by one variate
     longer = sketch.normals(7, 1, 311042)
     assert hashlib.sha256(longer[:-1].tobytes()).hexdigest() == DRAW_7_1_SHA256
 
@@ -69,16 +76,15 @@ def test_negative_draw_count_is_rejected():
             sketch.normals(7, 1, n)
 
 
-def test_draws_are_transformed_in_place():
-    # the uniforms' buffer becomes the output, plus one half-size temporary
-    # for cos: 1.5x the output's bytes
+def test_a_draw_allocates_only_its_output():
+    # the sampler writes straight into the output: no temporary of its size
     tracemalloc.start()
     try:
         out = sketch.normals(7, 1, 311041)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * out.nbytes
+    assert peak <= 1.1 * out.nbytes
 
 
 def test_streams_differ_across_ids_and_seeds():
@@ -104,16 +110,15 @@ DRAWING_RUNS = {
         generators.NoisySpec((2, 2, 2), 20.0, 5), (6, 7, 8)
     ),
 }
-# sha256 over the bytes of every draw of each run, in draw order, taken when
-# each draw still went through a stream object: the keys, the counts and the
-# order of the draws are pinned
+# sha256 over the bytes of every draw of each run, in draw order: the keys,
+# the counts and the order of the draws are pinned, with the sampler's bits
 DRAW_SHA256 = {
-    "tucker_svd_seq": "9bad039311145817b605d474d4376ae814bedac108e70900c3279168a803c78c",
-    "tucker_svd_batch": "2ff91a23392124adc1f7abf2fdb9f51b827f2a4ce5e82ce4085da956a7680fb4",
-    "ran_tucker": "a309a470a5177bc1fd69015825fab8b152efa32ebc87c8279e6eb85b14b48047",
-    "kr_tucker": "cb0ee0619e8d3dbb9346262327c92bef39de9672322344b774aaea50d558ed12",
-    "hooi": "4a3c864f2ba8caa3e30604e251b6b98940bcdaa300878cee55e66aa64e9628d7",
-    "gen_tucker_noise": "6ea2c91b3731fffba30baae94c192fd5ddf711f19a963480ae40aa70a8f01ca1",
+    "tucker_svd_seq": "6861eb5ed1c9d1f6acdee519ff947072175159020e098252ca9d95b4f92bf502",
+    "tucker_svd_batch": "fa520d45c65f7cb487873664523baeda99578036eb74ff892db61d5557961339",
+    "ran_tucker": "c6d69fb686c7ee2c4984ea09096364ea525b038bcb972fdecb6315eacb101be9",
+    "kr_tucker": "a695e73c02e8b932b88da5dfe8dd0de1a84ba07166c53cbfc974b1f434224b3c",
+    "hooi": "34ea8c3cd937a64b999e6aa3373042c87cdeada36b355fcd735bcdf11cf35c13",
+    "gen_tucker_noise": "239a28d08382caa6231446c86f25de7bc936a84efce0e151762e46ca09bdbd4b",
 }
 
 

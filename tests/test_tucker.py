@@ -83,6 +83,30 @@ def test_hooi_fit_history_monotone():
         assert cur >= prev - 1e-12
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_hooi_returns_its_best_sweep(seed):
+    # at tol=0 the last sweep can only be flat or a roundoff fall; a fall
+    # is not returned, so the returned fit is the best in the history
+    a = ts.gen_log_reciprocal((20, 20, 20))
+    apx = ts.hooi(a, (3, 3, 3), max_iters=20, tol=0.0, seed=seed)
+    kept2 = (core.frob_norm(apx.core) / core.frob_norm(a)) ** 2
+    assert 1.0 - math.sqrt(1.0 - kept2) == max(apx.fit_history) == apx.fit_history[-1]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_hooi_sweeps_lose_fit_only_to_roundoff(seed):
+    # tol=-inf records every sweep, falls included. The fit is
+    # 1 - sqrt(1 - kept2), so a roundoff d in kept2 moves it by d / (2 rlne);
+    # with d <= 32 eps a fall stays under 16 eps / rlne (measured: at most
+    # 5 eps / rlne over seeds 0-39, rlne 5.5e-4)
+    a = ts.gen_log_reciprocal((20, 20, 20))
+    hist = ts.hooi(a, (3, 3, 3), max_iters=30, tol=-math.inf, seed=seed).fit_history
+    assert len(hist) == 30
+    bound = 16 * np.finfo(float).eps / (1.0 - hist[-1])
+    for prev, cur in zip(hist, hist[1:]):
+        assert cur >= prev - bound
+
+
 def test_hooi_from_hosvd_never_worse():
     a = ts.gen_reciprocal_sum((18, 18, 18))
     base = ts.rlne(a, ts.truncated_hosvd(a, (3, 3, 3)))
@@ -184,15 +208,16 @@ def test_processing_order_insensitivity():
     # transposes of one tensor it processes the original modes in each of
     # the six orders; on a smooth tensor the errors stay within a small
     # factor of each other. The tensor is not symmetric (a symmetric one's
-    # transposes are one input), so the orders give different errors.
-    from itertools import permutations
-
+    # transposes are one input), so the orders give different errors. One
+    # draw's error spreads as widely as the orders do, so each order's error
+    # is its median over seeds 0-6.
     a = ts.gen_log_reciprocal((20, 20, 20))
-    plan = default_plan((20, 20, 20), (4, 4, 4), oversampling=10, seed=3)
     errs = []
-    for perm in permutations(range(3)):
+    for perm in itertools.permutations(range(3)):
         b = np.transpose(a, perm)
-        errs.append(ts.rlne(b, ts.tucker_svd_seq(b, plan)))
+        errs.append(np.median([
+            ts.rlne(b, ts.tucker_svd_seq(b, default_plan(b.shape, (4, 4, 4), seed=seed)))
+            for seed in range(7)]))
     assert 1.05 * min(errs) < max(errs) <= 2.0 * min(errs)
 
 

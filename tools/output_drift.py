@@ -3,6 +3,7 @@
 Run from anywhere::
 
     python3 tools/output_drift.py SRC_A SRC_B
+    python3 tools/output_drift.py --seeds SRC_A SRC_B
 
 ``SRC_A`` and ``SRC_B`` are directories that hold the ``tuckersketch``
 package, such as the ``src`` of two checkouts. Each tree runs the whole grid
@@ -18,8 +19,18 @@ same bits and the rlne and ``rank_warnings`` are equal. Otherwise it gives
 the change from A to B: ``core`` as ||core_B - core_A|| / ||core_A||,
 ``factor`` as the largest absolute change of a factor entry, ``rlne``
 relative to A's, and both ``rank_warnings`` when they differ. The last line
-gives the worst of each over the grid. Exits 1 when a tree fails to run
-and 2 on a bad command line.
+gives the worst of each over the grid.
+
+With ``--seeds`` each tree runs every randomized cell (every algorithm
+but ``truncated_hosvd``) at seeds 0..39 (``SEEDS``). As perfbench's workload seed
+does, seed s both builds the input (tucker_noise is drawn) and is
+``decompose``'s seed. This is the statement for a change to the draws,
+whose bits move while their distribution should not. One line per
+cell gives A's and B's rlne median with its quartiles in brackets, and
+ends in ``OUTSIDE`` when B's median lies outside A's quartiles. The last
+line counts those cells.
+
+Exits 1 when a tree fails to run and 2 on a bad command line.
 """
 
 import json
@@ -36,6 +47,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 TOOLS = os.path.join(ROOT, "tools")
 SEED = 1
+# the seeds of --seeds are 0..SEEDS-1
+SEEDS = 40
 COPIES = ("F", "moveaxis", "sparse")
 # a fresh interpreter that puts the tree, perfbench and this file first on
 # its path and runs the grid read from stdin
@@ -72,33 +85,40 @@ def copy_in_layout(ts, a, layout):
 
 
 def run_grid(out_path):
-    """Run the cells read as JSON from stdin; pickle the outputs to ``out_path``."""
+    """Run the cells and seeds read as JSON from stdin; pickle the outputs to
+    ``out_path``, one list per cell in the order of the seeds."""
     import tuckersketch as ts
     import workloads
 
-    results = {}
+    job = json.load(sys.stdin)
+    results = {cell[0]: [] for cell in job["cells"]}
     held = None
-    for cell_id, key, layout, alg, rank in json.load(sys.stdin):
-        if held is None or held[0] != (key, layout):
-            held = None  # drop the last input before building the next
-            held = (key, layout), copy_in_layout(ts, workloads.make_tensor(key, SEED), layout)
-        a = held[1]
-        try:
-            apx = ts.decompose(a, alg, tuple(rank), seed=SEED)
-            results[cell_id] = {"core": apx.core, "factors": apx.factors,
-                                "rlne": ts.rlne(a, apx), "rank_warnings": apx.rank_warnings}
-        except Exception as exc:
-            results[cell_id] = {"error": f"{type(exc).__name__}: {exc}"}
+    for seed in job["seeds"]:
+        for cell_id, key, layout, alg, rank in job["cells"]:
+            if held is None or held[0] != (key, layout, seed):
+                held = None  # drop the last input before building the next
+                held = (key, layout, seed), copy_in_layout(ts, workloads.make_tensor(key, seed),
+                                                           layout)
+            a = held[1]
+            try:
+                apx = ts.decompose(a, alg, tuple(rank), seed=seed)
+                out = {"core": apx.core, "factors": apx.factors,
+                       "rlne": ts.rlne(a, apx), "rank_warnings": apx.rank_warnings}
+            except Exception as exc:
+                out = {"error": f"{type(exc).__name__}: {exc}"}
+            results[cell_id].append(out)
     with open(out_path, "wb") as f:
         pickle.dump({"package": ts.__file__, "results": results}, f)
 
 
-def run_tree(src, cells):
-    """Outputs of the package under ``src`` on ``cells``, run in a fresh interpreter."""
+def run_tree(src, cells, seeds):
+    """Outputs of the package under ``src`` on ``cells`` at each of ``seeds``,
+    run in a fresh interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.pkl")
         proc = subprocess.run([sys.executable, "-c", CHILD, src, PERFBENCH, TOOLS, out],
-                              input=json.dumps(cells), text=True, capture_output=True)
+                              input=json.dumps({"cells": cells, "seeds": list(seeds)}),
+                              text=True, capture_output=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{src} failed:\n{proc.stderr[-2000:]}")
         with open(out, "rb") as f:
@@ -138,21 +158,56 @@ def describe(a, b):
     return "; ".join(words) or "identical"
 
 
+def spread(outputs):
+    """``(median, q1, q3)`` of the rlne of ``outputs``, or the first output
+    that failed."""
+    for out in outputs:
+        if "error" in out:
+            return out
+    return tuple(float(x) for x in np.percentile([out["rlne"] for out in outputs], [50, 25, 75]))
+
+
+def compare_spreads(cells, runs):
+    """Print A's and B's rlne spread per cell over seeds 0..SEEDS-1; flag a moved median."""
+    outside = 0
+    for cell_id, *_ in cells:
+        a, b = (spread(run[cell_id]) for run in runs)
+        if isinstance(a, dict) or isinstance(b, dict):
+            # a tree whose every seed ran is shown by its first output
+            print(f"{cell_id}: " + describe(*(x if isinstance(x, dict) else run[cell_id][0]
+                                              for x, run in zip((a, b), runs))))
+            continue
+        moved = not a[1] <= b[0] <= a[2]
+        outside += moved
+        print(f"{cell_id}: A {a[0]:.4g} [{a[1]:.4g}, {a[2]:.4g}]; "
+              f"B {b[0]:.4g} [{b[1]:.4g}, {b[2]:.4g}]" + (" OUTSIDE" if moved else ""))
+    print(f"B's rlne median lies outside A's quartiles on {outside} of {len(cells)} cells, "
+          f"seeds 0-{SEEDS - 1}")
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print("usage: python3 tools/output_drift.py SRC_A SRC_B", file=sys.stderr)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    seeds = argv[:1] == ["--seeds"]
+    if seeds:
+        argv = argv[1:]
+    if len(argv) != 2 or "--seeds" in argv:
+        print("usage: python3 tools/output_drift.py [--seeds] SRC_A SRC_B", file=sys.stderr)
         return 2
     cells = grid()
+    if seeds:
+        cells = [c for c in cells if c[3] != "truncated_hosvd"]
     try:
-        runs = [run_tree(src, cells) for src in argv]
+        runs = [run_tree(src, cells, range(SEEDS) if seeds else (SEED,)) for src in argv]
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if seeds:
+        compare_spreads(cells, runs)
+        return 0
     worst = [0.0, 0.0, 0.0]
     identical = warned = 0
     for cell_id, *_ in cells:
-        a, b = runs[0][cell_id], runs[1][cell_id]
+        (a,), (b,) = runs[0][cell_id], runs[1][cell_id]
         line = describe(a, b)
         print(f"{cell_id}: {line}")
         identical += line == "identical"
