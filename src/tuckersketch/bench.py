@@ -16,11 +16,11 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from . import generators
-from .core import (SparseTensor, check_per_mode, dims_of, frob_norm, mode_product, mode_view,
-                   positive_int, real_number)
+from .core import (SparseTensor, check_per_mode, dims_of, frob_norm, mode_product, mode_products,
+                   mode_view, positive_int, real_number)
 from .generators import FAMILIES
 from .linalg import delta_tail
-from .tucker import ALGORITHMS, decompose, rlne, tucker_svd_seq
+from .tucker import ALGORITHMS, TuckerApprox, decompose, rlne, tucker_svd_seq
 
 CSV_HEADER = ("family", "dims", "algorithm", "P", "seed", "rlne", "fit", "wall_time_s", "extra")
 
@@ -156,23 +156,20 @@ def oracle_floor(svals, target_rank):
 
 
 def check_inequality13(a, approx):
-    """Projector inequality: the full projection error is bounded by the sum
-    of single-mode projection errors.
+    """Projector inequality: the full projection error is at most the sum of single-mode ones.
 
-    Returns a report dict with ``lhs`` (squared full-chain error), per-mode
-    ``rhs_terms``, and ``ok`` under slack 1e-8 * ||a||^2.
+    Each squared error is ``(rlne(a, TuckerApprox(core, factors)) * ||a||)^2``,
+    the core being ``a x_n Q_n^T`` over every mode for ``lhs``, and over mode
+    n alone, identities elsewhere, for rhs term n: a sparse ``a`` is never
+    densified. Returns ``lhs``, ``rhs_terms`` and ``ok`` under slack 1e-8 * ||a||^2.
     """
-    dense = a.densify() if isinstance(a, SparseTensor) else np.asarray(a, dtype=np.float64)
-    norm2 = frob_norm(dense) ** 2
-    full = dense
-    rhs_terms = []
-    for n, q in enumerate(approx.factors, start=1):
-        proj_n = mode_product(mode_product(dense, n, q.T), n, q)
-        rhs_terms.append(float(np.linalg.norm((dense - proj_n).ravel()) ** 2))
-        full = mode_product(mode_product(full, n, q.T), n, q)
-    lhs = float(np.linalg.norm((dense - full).ravel()) ** 2)
-    ok = lhs <= sum(rhs_terms) + 1e-8 * norm2
-    return {"lhs": lhs, "rhs_terms": rhs_terms, "ok": bool(ok)}
+    norm, qs = frob_norm(a), approx.factors
+    eyes = [np.eye(q.shape[0]) for q in qs]
+    err2 = lambda core, factors: float((rlne(a, TuckerApprox(core, factors)) * norm) ** 2)
+    lhs = err2(mode_products(a, {n: q.T for n, q in enumerate(qs, start=1)}), qs)
+    rhs_terms = [err2(mode_product(a, n, q.T), eyes[: n - 1] + [q] + eyes[n:])
+                 for n, q in enumerate(qs, start=1)]
+    return {"lhs": lhs, "rhs_terms": rhs_terms, "ok": lhs <= sum(rhs_terms) + 1e-8 * norm**2}
 
 
 @dataclass

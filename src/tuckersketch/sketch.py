@@ -39,7 +39,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .core import (KEY_MAX, SparseTensor, check_dims, check_mode, check_per_mode, check_rank,
-                   check_seed, dims_of, memory_axes, mode_product, mode_products, mode_view,
+                   check_seed, contraction_order, dims_of, mode_product, mode_products, mode_view,
                    positive_int, unfold)
 
 
@@ -270,11 +270,12 @@ def sketch_khatri_rao(c, n, lprime, seed):
     ``(seed, 256 n + m)``, row-major, ascending m, as :func:`sketch_matrices`
     draws G_{n,m}); column l of the sketch contracts ``c`` with the
     l-th column of every factor. Sparse inputs accumulate per-entry products
-    and never densify. A dense ``c`` is contracted by one ``np.einsum`` in its
-    memory order (:func:`~tuckersketch.core.memory_axes`; a sliced view in
-    its index order), the factor of its fastest axis listed first, or of its
-    slowest when the fastest is mode n: the first product is then a GEMM on
-    ``c``'s own strides, not on a transposed copy, when the greedy path ties.
+    and never densify. A dense ``c`` is read once, in its memory order, by
+    :func:`~tuckersketch.core.mode_product` on a run of end axes with their
+    factors' Khatri-Rao product. The run starts at the end that
+    :func:`~tuckersketch.core.contraction_order` ranks first by I_m / lprime
+    and grows inwards to lprime rows or to mode n; at most two batched GEMVs
+    contract the rest of the product, which is then no larger than ``c``.
     """
     dims = dims_of(c)
     n_modes = len(dims)
@@ -289,29 +290,30 @@ def sketch_khatri_rao(c, n, lprime, seed):
                 contrib *= omegas[m][c.coords[:, m - 1]]
             np.add.at(out, c.coords[:, n - 1], contrib)
         return out
-    # a mode of size 1 contracts c with the one row of its factor: it
-    # scales the columns, and leaves the einsum
-    short = [m for m in others if dims[m - 1] == 1]
-    scale = np.ones(lprime)
-    for m in short:
-        scale *= omegas[m][0]
-    c = np.squeeze(c, axis=tuple(m - 1 for m in short))
-    kept = [m for m in range(1, n_modes + 1) if m not in short]
-    if kept == [n]:
-        # no other mode is longer than 1: the Khatri-Rao product is one row
-        return np.outer(c, scale)
-    axes = memory_axes(c)
-    if axes is not None:
-        # read c in its memory order: axis k of the transpose is mode kept[k]
-        c, kept = c.transpose(axes), [kept[k] for k in axes]
-    # einsum's sublist form, 'abc,bz,cz->az' for order 3: label k is axis k
-    # of c, the last label the column; its 52 labels reach 51 modes longer
-    # than 1, more than memory holds
-    col = len(kept)
-    # an end axis's factor first: einsum's greedy path breaks its ties there
-    first = col - 1 if kept[-1] != n else 0
-    operands = [c, list(range(col))]
-    for k in [first] + [k for k in range(col) if k != first]:
-        if kept[k] != n:
-            operands += [omegas[kept[k]], [k, col]]
-    return np.einsum(*operands, [kept.index(n), col], optimize=True) * scale
+
+    def khatri_rao(axes):  # their factors' column-wise Kronecker product, first rows slowest
+        out = np.ones((1, lprime))
+        for k in axes:
+            out = (out[:, None, :] * omegas[k + 1][None, :, :]).reshape(-1, lprime)
+        return out
+
+    if not others:
+        return np.outer(c, np.ones(lprime))
+    v, axes = mode_view(np.asarray(c, dtype=np.float64), n)
+    c, at = v.reshape([dims[k] for k in axes]), axes.index(n - 1)
+    ends = {k + 1: c.shape[k] / lprime for k in (0, n_modes - 1) if k != at}
+    lo = hi = contraction_order(c, ends)[0] - 1
+    while math.prod(c.shape[lo : hi + 1]) < lprime and at not in (lo - 1, hi + 1):
+        lo, hi = (lo, hi + 1) if lo == 0 else (lo - 1, hi)
+    kr = khatri_rao(axes[lo : hi + 1])
+    y = mode_product(c.reshape(c.shape[:lo] + (len(kr),) + c.shape[hi + 1 :]), lo + 1, kr.T)
+    # the new axis is the slowest in memory: moved first, it leaves (lprime, pre, I_n, post)
+    axes = axes[:lo] + axes[hi + 1 :]
+    at = axes.index(n - 1)
+    y = np.moveaxis(y, lo, 0).reshape(lprime, -1, math.prod(dims[k] for k in axes[at + 1 :]))
+    if axes[at + 1 :]:
+        y = np.matmul(y, khatri_rao(axes[at + 1 :]).T[:, :, None])
+    y = y.reshape(lprime, -1, dims[n - 1])
+    if axes[:at]:
+        y = np.matmul(khatri_rao(axes[:at]).T[:, None, :], y)
+    return y.reshape(lprime, dims[n - 1]).T

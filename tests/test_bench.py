@@ -12,6 +12,8 @@ import tuckersketch as ts
 from tuckersketch import bench
 from tuckersketch.sketch import default_plan
 
+from test_core import LAYOUTS, tensor_in_layout
+
 SMALL_CONFIG = """
 # comment lines and blanks are fine
 
@@ -226,6 +228,49 @@ def test_check_inequality13_sparse_input():
     s = ts.gen_random_sparse((10, 10, 10), 60, seed=5)
     apx = ts.decompose(s, "tucker_svd_batch", (3, 3, 3), seed=1)
     assert ts.check_inequality13(s, apx)["ok"]
+
+
+def reference_inequality13(a, approx):
+    """The projector report from dense residual tensors, as an independent check."""
+    dense = a.densify() if isinstance(a, ts.SparseTensor) else np.asarray(a, dtype=np.float64)
+    full = dense
+    rhs_terms = []
+    for n, q in enumerate(approx.factors, start=1):
+        proj_n = ts.mode_product(ts.mode_product(dense, n, q.T), n, q)
+        rhs_terms.append(float(np.linalg.norm((dense - proj_n).ravel()) ** 2))
+        full = ts.mode_product(ts.mode_product(full, n, q.T), n, q)
+    return float(np.linalg.norm((dense - full).ravel()) ** 2), rhs_terms
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("dims", [(9, 11, 7), (5, 6, 4, 3)])
+def test_check_inequality13_matches_the_dense_reference(dims, layout):
+    a = tensor_in_layout(dims, layout, np.random.default_rng(len(dims)))
+    norm2 = ts.frob_norm(a) ** 2
+    for alg in ("tucker_svd_seq", "truncated_hosvd"):
+        apx = ts.decompose(a, alg, (3,) * len(dims), seed=0)
+        report = ts.check_inequality13(a, apx)
+        lhs, rhs_terms = reference_inequality13(a, apx)
+        assert report["lhs"] == pytest.approx(lhs, rel=1e-10, abs=1e-12 * norm2)
+        assert report["rhs_terms"] == pytest.approx(rhs_terms, rel=1e-10, abs=1e-12 * norm2)
+        assert report["ok"]
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_check_inequality13_forms_no_tensor_sized_array(sparse):
+    # reference_inequality13 peaks at 3.0x the dense bytes here, and at 4.0x
+    # on sparse input, which it densifies; the report peaks at 0.15x and 0.18x
+    dims = (200, 200, 200)
+    a = ts.gen_random_sparse(dims, 3000, seed=0) if sparse else ts.gen_reciprocal_sum(dims)
+    apx = ts.decompose(a, "tucker_svd_seq", (5, 5, 5), seed=0)
+    ts.check_inequality13(a, apx)  # imports, such as scipy.sparse, before measuring
+    tracemalloc.start()
+    try:
+        ts.check_inequality13(a, apx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 200**3 / 4
 
 
 def test_probe_bound_reports_distribution():

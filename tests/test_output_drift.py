@@ -63,6 +63,16 @@ def test_a_median_outside_the_quartiles_is_flagged(output_drift, monkeypatch, ca
     ]
 
 
+def test_the_grid_is_the_workloads_and_the_extra_layouts_and_shapes(output_drift):
+    cells = output_drift.grid()
+    # 37 dense_small and 6 dense_large cells, then six algorithms on each of
+    # three copies of 40^3 and on the C-ordered non-cubic (30, 36, 24)
+    assert len(cells) == 37 + 6 + 6 * 3 + 6
+    assert len({c[0] for c in cells}) == len(cells)
+    assert [c[3] for c in cells if c[1] == "reciprocal_sum@30x36x24"] == [
+        "tucker_svd_seq", "tucker_svd_batch", "hooi", "truncated_hosvd", "ran_tucker", "kr_tucker"]
+
+
 def test_a_change_is_reported_by_its_size(output_drift):
     a = {"core": np.full((2, 2), 0.5), "factors": [np.eye(3, 2)] * 2, "rlne": 0.25,
          "rank_warnings": ()}

@@ -449,6 +449,35 @@ def test_sketch_khatri_rao_order4():
     np.testing.assert_allclose(b, core.unfold(c, 2) @ w, atol=1e-10)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 7), min_size=1, max_size=5),
+    st.data(),
+    st.integers(1, 20),
+    st.sampled_from([layout for layout in LAYOUTS if layout != "sparse"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_sketch_khatri_rao_matches_unfolding_in_every_layout(dims, data, lprime, layout, seed):
+    # widths above and below the modes cover both ends of memory, runs of
+    # merged end modes, and rests on one or both sides of mode n
+    dims = tuple(dims)
+    n = data.draw(st.integers(1, len(dims)))
+    c = tensor_in_layout(dims, layout, np.random.default_rng(seed))
+    before = np.array(c)
+    # the explicit Khatri-Rao product, earliest mode fastest
+    w = np.ones((1, lprime))
+    for m in range(1, len(dims) + 1):
+        if m != n:
+            omega = sketch.gaussian_matrix(seed, 256 * n + m, dims[m - 1], lprime)
+            w = (omega[:, None, :] * w[None, :, :]).reshape(-1, lprime)
+    ref = core.unfold(c, n) @ w
+    b = sketch.sketch_khatri_rao(c, n, lprime, seed)
+    assert b.shape == (dims[n - 1], lprime)
+    scale = np.linalg.norm(np.abs(core.unfold(c, n)) @ np.abs(w))
+    assert np.linalg.norm(b - ref) <= 1e-12 * scale
+    np.testing.assert_array_equal(c, before)
+
+
 def test_philox_rejects_negative_keys():
     with pytest.raises(ValueError):
         sketch.philox_rng(-1, 0)

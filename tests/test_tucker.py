@@ -341,7 +341,7 @@ def test_exact_bases_allocate_no_mode_squared_array(alg, case):
 # tracemalloc peak of one decomposition of reciprocal_sum 100^3 at rank 5, over
 # a.nbytes: the largest peak measured in C and in F order (seq 0.059, batch
 # 0.158, hooi 0.062, truncated_hosvd 2.02, ran_tucker 0.30 in C order and 0.23
-# in F, kr_tucker 0.155) plus 25%, rounded up. Each algorithm's docstring and
+# in F, kr_tucker 0.158) plus 25%, rounded up. Each algorithm's docstring and
 # the README state the same bound.
 MEMORY_BOUNDS = {
     "tucker_svd_seq": 0.075,
@@ -370,6 +370,26 @@ def test_each_algorithm_keeps_its_memory_bound(alg, order, reciprocal_100):
     finally:
         tracemalloc.stop()
     assert peak <= MEMORY_BOUNDS[alg] * a.nbytes
+
+
+@pytest.mark.parametrize("dims, bound", [
+    # unequal modes: a sketch that started at the middle axis of memory would
+    # copy the tensor to a transposed layout (1.13x)
+    ((100, 120, 80), MEMORY_BOUNDS["kr_tucker"]),
+    # every mode is shorter than the sketch width 15, so two end modes are
+    # contracted at once: 0.59x, most of it seq's first shrink, plus 25%
+    ((12,) * 5, 0.75),
+])
+def test_kr_tucker_contracts_an_end_axis_first(dims, bound):
+    a = ts.gen_reciprocal_sum(dims)
+    ts.kr_tucker(ts.gen_reciprocal_sum((6,) * len(dims)), (5,) * len(dims))  # imports first
+    tracemalloc.start()
+    try:
+        ts.kr_tucker(a, (5,) * len(dims))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * a.nbytes
 
 
 def test_pythagoras_identity():
@@ -814,9 +834,9 @@ def test_non_finite_input_is_rejected(alg, sparse, value):
     if sparse:
         coords = np.argwhere(a != 0.0)
         a = ts.SparseTensor(a.shape, coords, a[tuple(coords.T)])
-    # in these two, a product of the dense input adds inf to -inf before
+    # in these three, a product of the dense input adds inf to -inf before
     # linalg sees the result, and numpy warns of the NaN that this makes
-    nan_warning = not sparse and value == np.inf and alg in ("hooi", "ran_tucker")
+    nan_warning = not sparse and value == np.inf and alg in ("hooi", "ran_tucker", "kr_tucker")
     with pytest.warns(RuntimeWarning, match="invalid value") if nan_warning else nullcontext():
         with pytest.raises(ValueError, match="non-finite"):
             ts.decompose(a, alg, (3, 3, 3), seed=1)

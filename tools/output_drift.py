@@ -12,7 +12,9 @@ every cell, at seed 1. The grid is every cell of the dense_small and
 dense_large workloads of ``perfbench/workloads.py``, on the inputs its
 ``make_tensor`` builds, and every algorithm at rank 5 on F-ordered,
 moved-axis and sparse copies of reciprocal_sum 40^3 (its C copy is a
-dense_small cell). ``perfbench/workloads.py`` is read, never changed.
+dense_small cell) and on a C-ordered non-cubic reciprocal_sum (30, 36, 24),
+whose unequal modes give each contraction rule a strict choice.
+``perfbench/workloads.py`` is read, never changed.
 
 One line per cell says ``identical`` when the core and factors have the
 same bits and the rlne and ``rank_warnings`` are equal. Otherwise it gives
@@ -68,6 +70,8 @@ def grid():
     key, rank = "reciprocal_sum@40x40x40", (5, 5, 5)
     cells += [(f"{key}[{layout}]/{alg}/r5-5-5", key, layout, alg, rank)
               for layout in COPIES for alg in workloads.ALL_ALGORITHMS]
+    key = "reciprocal_sum@30x36x24"
+    cells += [(f"{key}/{alg}/r5-5-5", key, "C", alg, rank) for alg in workloads.ALL_ALGORITHMS]
     return cells
 
 
